@@ -26,7 +26,7 @@ from .learner import (
 from .linkmodel import GslParams, IslParams, RateModel
 from .metrics import MetricsReport, empirical_cvar
 from .netsim import Packet, SimConfig, Simulator, TrafficConfig, run_epoch
-from .routing import RandomRouter, SpfRouter, decide, spf_tables
+from .routing import RandomRouter, SpfRouter, spf_tables
 from .scenario import (
     Scenario,
     desk_scenario,

@@ -20,7 +20,6 @@ import numpy as np
 from .constellation import Constellation
 from .errors import SimulationError
 from .netsim import NS_PER_S, Packet, Router, Simulator
-from .routing import Observation, decide
 
 OBS_DIM = 17
 
@@ -64,19 +63,16 @@ def dropped_penalty(ttl_remaining: int, sum_progress: float, cfg: RewardConfig) 
 
 
 class Featurizer:
-    """Builds fixed-length local observations from per-refresh geometry
+    """Builds fixed-length local feature vectors from per-refresh geometry
     tables (sub-satellite great-circle distances and bearings toward every
     station)."""
 
     def __init__(self, constellation: Constellation, num_stations: int,
                  ttl_hops: int, max_size_bits: int):
-        self.constellation = constellation
         cfg = constellation.cfg
         self.earth_radius = cfg.earth_radius_m
-        self.num_stations = num_stations
         self.ttl_hops = ttl_hops
         self.max_size_bits = max_size_bits
-        self.neighbors = constellation.neighbors
         # normalization for per-hop progress features: the wider of the
         # in-plane and inter-plane grid spacings, as ground arc
         self.hop_scale = 2 * math.pi * self.earth_radius * max(
@@ -90,10 +86,6 @@ class Featurizer:
         self._gcd_list: list[list[float]] = []
         self._bsin_list: list[list[float]] = []
         self._bcos_list: list[list[float]] = []
-
-    @property
-    def obs_dim(self) -> int:
-        return OBS_DIM
 
     def refresh(self, sim: Simulator) -> None:
         """Recompute geometry tables from the simulator's position caches."""
@@ -121,10 +113,11 @@ class Featurizer:
         self._bsin_list = self.bearing_sin.tolist()
         self._bcos_list = self.bearing_cos.tolist()
 
-    def observe(self, packet: Packet, sat: int, sim: Optional[Simulator] = None) -> Observation:
+    def observe(self, packet: Packet, sat: int) -> np.ndarray:
         """Deterministic featurization of (packet, satellite) from local and
-        one-hop-neighbor state only."""
-        sim = sim if sim is not None else self.sim
+        one-hop-neighbor state of the simulator attached by ``refresh``;
+        returns an ``OBS_DIM`` vector."""
+        sim = self.sim
         if sim is None:
             raise SimulationError("featurizer has no simulator attached")
         g = packet.dst_gs
@@ -149,12 +142,12 @@ class Featurizer:
             if q is not None:
                 f[7 + k] = q.queued_bits / cap
             f[13 + k] = 1.0
-        return Observation(np.array(f), sat, g)
+        return np.array(f)
 
 
 class ObsRouter(Router):
-    """Adapter that feeds featurized observations to a policy with a
-    ``decide`` method (learned or random); used for evaluation runs."""
+    """Adapter that feeds each decision's feature vector to a policy, any
+    object with ``decide(features) -> int``; used for evaluation runs."""
 
     def __init__(self, featurizer: Featurizer, policy):
         self.featurizer = featurizer
@@ -164,8 +157,7 @@ class ObsRouter(Router):
         self.featurizer.refresh(sim)
 
     def choose(self, packet: Packet, sat: int, now_ns: int) -> int:
-        obs = self.featurizer.observe(packet, sat)
-        return decide(self.policy, obs).action
+        return self.policy.decide(self.featurizer.observe(packet, sat))
 
 
 class _Pending:
@@ -179,10 +171,11 @@ class _Pending:
 
 
 class TransitionCollector(Router):
-    """Wraps a behavior policy and assembles one learning transition per
-    decision: (o, a, r, costs, o', done, sojourn). Terminal next-observations
-    follow the all-zeros convention. Every queuing nanosecond a packet
-    accumulates is charged to exactly one transition."""
+    """Wraps a behavior policy (``decide(features) -> int``) and assembles
+    one learning transition per decision: (o, a, r, costs, o', done,
+    sojourn). Terminal next-observations follow the all-zeros convention.
+    Every queuing nanosecond a packet accumulates is charged to exactly one
+    transition."""
 
     def __init__(self, featurizer: Featurizer, policy, reward_cfg: RewardConfig,
                  buffer, validate_obs: bool = False):
@@ -194,7 +187,7 @@ class TransitionCollector(Router):
         self.pending: dict[int, _Pending] = {}
         self._settled_queue_ns: dict[int, int] = {}
         self._sum_progress: dict[int, float] = {}
-        self._obs_cache: dict[int, Observation] = {}
+        self._obs_cache: dict[int, np.ndarray] = {}
         self.decisions = 0
         self.transitions = 0
 
@@ -204,22 +197,22 @@ class TransitionCollector(Router):
 
     def notify_step(self, packet: Packet, sat: int, now_ns: int) -> None:
         obs = self.featurizer.observe(packet, sat)
-        if self.validate_obs and not np.all(np.isfinite(obs.features)):
+        if self.validate_obs and not np.all(np.isfinite(obs)):
             raise SimulationError(f"non-finite observation for packet {packet.id}")
         self._obs_cache[packet.id] = obs
         p = self.pending.pop(packet.id, None)
         if p is not None:
-            self._emit(packet, p, obs.features, now_ns, done=False,
+            self._emit(packet, p, obs, now_ns, done=False,
                        gcd_now=self.featurizer.gcd[sat, packet.dst_gs], bonus=0.0)
 
     def choose(self, packet: Packet, sat: int, now_ns: int) -> int:
         obs = self._obs_cache.pop(packet.id, None)
         if obs is None:
             obs = self.featurizer.observe(packet, sat)
-        action = decide(self.policy, obs).action
+        action = self.policy.decide(obs)
         self.decisions += 1
         self.pending[packet.id] = _Pending(
-            obs.features, action, now_ns,
+            obs, action, now_ns,
             float(self.featurizer.gcd[sat, packet.dst_gs]))
         return action
 

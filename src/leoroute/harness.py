@@ -21,7 +21,7 @@ from .errors import ConfigurationError
 from .learner import MODE_AVG, MODE_CVAR, MadqnLearner, PrimalLearner, ReplayBuffer
 from .metrics import MetricsReport, aggregate_reports, empirical_cvar, report_from_sim
 from .netsim import Simulator, TrafficConfig
-from .routing import ActorPolicy, EpsilonGreedyPolicy, Observation, RandomRouter, SpfRouter
+from .routing import ActorPolicy, EpsilonGreedyPolicy, RandomRouter, SpfRouter
 from .scenario import Scenario, scenario_from_dict, scenario_hash, scenario_to_dict, save_scenario
 
 ALGO_PRIMAL_AVG = "primal-avg"
@@ -60,21 +60,6 @@ def build_learner(scenario: Scenario, algo: str, seed: int):
     raise ConfigurationError(f"'{algo}' is not a trainable algorithm")
 
 
-class _MadqnBehavior:
-    """Epsilon-greedy behavior tied to the learner's live epsilon decay."""
-
-    def __init__(self, learner: MadqnLearner, seed: int):
-        self.learner = learner
-        self.rng = np.random.default_rng(seed)
-
-    def decide(self, obs: Observation):
-        from .routing import RouteDecision
-        if self.rng.random() < self.learner.epsilon:
-            return RouteDecision(int(self.rng.integers(0, 4)))
-        q = nn.mlp_forward_single(self.learner.q, obs.features)
-        return RouteDecision(int(np.argmax(q)))
-
-
 @dataclass
 class TrainResult:
     algo: str
@@ -108,7 +93,7 @@ def run_train(scenario: Scenario, algo: str, seed: Optional[int] = None,
     buffer = ReplayBuffer(scenario.learner.buffer_capacity, OBS_DIM,
                           n_costs=n_costs, seed=buffer_seed)
     if algo == ALGO_MADQN:
-        policy = _MadqnBehavior(learner, policy_seed)
+        policy = EpsilonGreedyPolicy(learner.q, learner.epsilon, policy_seed)
     else:
         policy = ActorPolicy(learner.actor, mode="train", seed=policy_seed)
     collector = TransitionCollector(featurizer, policy, scenario.reward, buffer)
@@ -127,6 +112,8 @@ def run_train(scenario: Scenario, algo: str, seed: Optional[int] = None,
 
         def on_train(now_ns, _learner=learner, _buffer=buffer):
             diag = _learner.train_step(_buffer)
+            if algo == ALGO_MADQN:
+                policy.epsilon = _learner.epsilon   # follow the decay schedule
             if diag is not None:
                 latest_train.clear()
                 latest_train.update(diag)

@@ -1,38 +1,24 @@
-"""Routing strategies behind one decision interface.
+"""Routing strategies behind the simulator's one decision interface,
+``Router.choose(packet, sat, now_ns) -> action``.
 
-The uniform surface is ``decide(policy, obs) -> RouteDecision``; policies are
-the shortest-path-first baseline (Dijkstra over propagation + transmission
-weights, deliberately queuing-oblivious), a uniform random walk, and learned
-policies that map an observation's feature vector to a categorical action
-(sampled while training, argmax in evaluation).
+Routers are the shortest-path-first baseline (Dijkstra over propagation +
+transmission weights, deliberately queuing-oblivious) and a uniform random
+walk. Learned routers hand a local feature vector to a policy: any object
+with ``decide(features) -> int``. Policies here map the vector to a
+categorical action over the four grid directions (sampled while training,
+argmax in evaluation).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import linkmodel, nn
 from .netsim import Packet, Router, Simulator
-
-
-@dataclass
-class RouteDecision:
-    action: int                       # 0..3 -> N, S, W, E; -1 means no route
-    meta: Optional[dict] = None
-
-
-@dataclass
-class Observation:
-    """Local view handed to a policy: a fixed-length feature vector plus the
-    identity of the deciding satellite and the packet's destination station."""
-
-    features: np.ndarray
-    sat: int
-    dest_gs: int
 
 
 @dataclass
@@ -131,48 +117,6 @@ def spf_tables(snapshot: GraphSnapshot,
     return out
 
 
-def decide(policy, obs: Observation) -> RouteDecision:
-    """Single entry point used by the simulator glue for every strategy."""
-    return policy.decide(obs)
-
-
-class RandomPolicy:
-    """Uniform over the four grid directions."""
-
-    def __init__(self, seed: int = 0):
-        self.rng = np.random.default_rng(seed)
-
-    def decide(self, obs: Observation) -> RouteDecision:
-        return RouteDecision(int(self.rng.integers(0, 4)))
-
-
-class SpfPolicy:
-    """Next hop from precomputed shortest-path tables; refreshed with the
-    topology by the owning router."""
-
-    def __init__(self):
-        self.tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.neighbors: Optional[np.ndarray] = None
-        self.num_sats = 0
-
-    def refresh(self, sim: Simulator, ref_size_bits: int = 64_800) -> None:
-        snap = build_snapshot(sim, ref_size_bits)
-        dests = [sim.num_sats + g for g in range(sim.num_gs)]
-        self.tables = spf_tables(snap, dests)
-        self.neighbors = sim.neighbors
-        self.num_sats = sim.num_sats
-
-    def decide(self, obs: Observation) -> RouteDecision:
-        nxt, _ = self.tables[self.num_sats + obs.dest_gs]
-        hop = int(nxt[obs.sat])
-        if hop == UNREACHABLE:
-            return RouteDecision(-1)
-        for k in range(4):
-            if int(self.neighbors[obs.sat, k]) == hop:
-                return RouteDecision(k)
-        return RouteDecision(-1)    # next hop is not one of the four ISLs
-
-
 class ActorPolicy:
     """Categorical policy over a learned actor network. Samples during
     training, takes the argmax during evaluation."""
@@ -184,30 +128,32 @@ class ActorPolicy:
         self.mode = mode
         self.rng = np.random.default_rng(seed)
 
-    def decide(self, obs: Observation) -> RouteDecision:
-        logits = nn.mlp_forward_single(self.params, obs.features)
+    def decide(self, features: np.ndarray) -> int:
+        logits = nn.mlp_forward_single(self.params, features)
         if self.mode != "train":
-            return RouteDecision(int(np.argmax(logits)))
+            return int(np.argmax(logits))
         z = logits - logits.max()
         e = np.exp(z)
         cum = np.cumsum(e)
         a = int(np.searchsorted(cum, self.rng.random() * cum[-1], side="right"))
-        return RouteDecision(min(a, len(logits) - 1))
+        return min(a, len(logits) - 1)
 
 
 class EpsilonGreedyPolicy:
-    """Q-network policy with epsilon exploration (zero epsilon in eval)."""
+    """Q-network policy with epsilon exploration (zero epsilon in eval).
+    Every decision draws one uniform number, whatever epsilon is, so the
+    random stream does not depend on the exploration schedule; the owner
+    may change ``epsilon`` between decisions."""
 
     def __init__(self, params: dict, epsilon: float = 0.0, seed: int = 0):
         self.params = params
         self.epsilon = epsilon
         self.rng = np.random.default_rng(seed)
 
-    def decide(self, obs: Observation) -> RouteDecision:
-        if self.epsilon > 0 and self.rng.random() < self.epsilon:
-            return RouteDecision(int(self.rng.integers(0, 4)))
-        q = nn.mlp_forward_single(self.params, obs.features)
-        return RouteDecision(int(np.argmax(q)))
+    def decide(self, features: np.ndarray) -> int:
+        if self.rng.random() < self.epsilon:
+            return int(self.rng.integers(0, 4))
+        return int(np.argmax(nn.mlp_forward_single(self.params, features)))
 
 
 class RandomRouter(Router):
@@ -221,22 +167,28 @@ class RandomRouter(Router):
 
 
 class SpfRouter(Router):
-    """Simulator-facing SPF baseline; recomputes tables on topology refresh."""
+    """Simulator-facing SPF baseline: next hop from shortest-path tables
+    toward every station, recomputed on each topology refresh."""
 
     def __init__(self, ref_size_bits: int = 64_800):
-        self.policy = SpfPolicy()
         self.ref_size_bits = ref_size_bits
+        self.tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.neighbors: Optional[np.ndarray] = None
+        self.num_sats = 0
 
     def on_topology_refresh(self, sim: Simulator) -> None:
-        self.policy.refresh(sim, self.ref_size_bits)
+        snap = build_snapshot(sim, self.ref_size_bits)
+        self.tables = spf_tables(snap, [sim.num_sats + g for g in range(sim.num_gs)])
+        self.neighbors = sim.neighbors
+        self.num_sats = sim.num_sats
 
     def choose(self, packet: Packet, sat: int, now_ns: int) -> int:
-        nxt, _ = self.policy.tables[self.policy.num_sats + packet.dst_gs]
+        nxt, _ = self.tables[self.num_sats + packet.dst_gs]
         hop = int(nxt[sat])
         if hop == UNREACHABLE:
             return -1
-        nbrs = self.policy.neighbors[sat]
+        nbrs = self.neighbors[sat]
         for k in range(4):
             if int(nbrs[k]) == hop:
                 return k
-        return -1
+        return -1                   # next hop is not one of the four ISLs

@@ -15,9 +15,10 @@ from leoroute.env import (
     hop_cost,
     hop_reward,
 )
+from leoroute import nn
 from leoroute.learner import ReplayBuffer
 from leoroute.netsim import NS_PER_S, SimConfig, Simulator, TrafficConfig
-from leoroute.routing import RandomPolicy
+from leoroute.routing import EpsilonGreedyPolicy
 
 CITIES = [
     GroundStation(gs_id(0), 49.6116, 6.1319, 10.0, "luxembourg"),
@@ -28,12 +29,20 @@ CITIES = [
 CFG = RewardConfig()
 
 
+def uniform_policy(seed):
+    """Uniform over the four grid directions: an epsilon-greedy policy that
+    always explores."""
+    arch = nn.Architecture(input_dim=OBS_DIM, hidden_dim=8, n_actions=4)
+    return EpsilonGreedyPolicy(nn.init_mlp(arch, np.random.default_rng(0)),
+                               epsilon=1.0, seed=seed)
+
+
 def build_setup(rate=150.0, epoch=2.0, seed=0, ttl=24, collector=True):
     c = build_walker(WalkerConfig(12, 8, 600e3, 53.0, 1))
     traffic = TrafficConfig(rate, seed=seed)
     feat = Featurizer(c, len(CITIES), ttl, traffic.max_size_bits)
     buf = ReplayBuffer(100_000, OBS_DIM, seed=seed)
-    router = TransitionCollector(feat, RandomPolicy(seed), CFG, buf,
+    router = TransitionCollector(feat, uniform_policy(seed), CFG, buf,
                                  validate_obs=True)
     sim = Simulator(c, CITIES, SimConfig(ttl_hops=ttl), traffic, router,
                     epoch_s=epoch)
@@ -81,16 +90,16 @@ def test_observation_shape_and_ranges():
     sim, router, _, feat = build_setup(rate=0.0)
     from leoroute.netsim import Packet
     pkt = Packet(id=0, src_gs=0, dst_gs=1, size_bits=64_800, created_ns=0, ttl=24)
-    obs = feat.observe(pkt, sat=13, sim=sim)
-    assert obs.features.shape == (OBS_DIM,)
-    assert np.all(np.isfinite(obs.features))
-    assert -1.0 <= obs.features[0] <= 1.0 and -1.0 <= obs.features[1] <= 1.0
-    assert 0.0 <= obs.features[2] <= 1.0
-    assert np.all(np.abs(obs.features[3:7]) <= 1.0)
-    assert np.all(obs.features[7:11] == 0.0)   # empty queues
-    assert obs.features[11] == 1.0             # fresh ttl
-    assert obs.features[12] == 1.0             # largest size class
-    assert np.all(obs.features[13:17] == 1.0)  # full grid
+    obs = feat.observe(pkt, sat=13)
+    assert obs.shape == (OBS_DIM,)
+    assert np.all(np.isfinite(obs))
+    assert -1.0 <= obs[0] <= 1.0 and -1.0 <= obs[1] <= 1.0
+    assert 0.0 <= obs[2] <= 1.0
+    assert np.all(np.abs(obs[3:7]) <= 1.0)
+    assert np.all(obs[7:11] == 0.0)    # empty queues
+    assert obs[11] == 1.0              # fresh ttl
+    assert obs[12] == 1.0              # largest size class
+    assert np.all(obs[13:17] == 1.0)   # full grid
 
 
 def test_observation_gcd_zero_at_access_satellite():
@@ -99,9 +108,9 @@ def test_observation_gcd_zero_at_access_satellite():
     g = 2
     acc = sim.access[g]
     pkt = Packet(id=0, src_gs=0, dst_gs=g, size_bits=16_200, created_ns=0, ttl=24)
-    obs = feat.observe(pkt, sat=acc, sim=sim)
+    obs = feat.observe(pkt, sat=acc)
     # over the destination's access satellite the remaining distance is small
-    assert obs.features[2] < 0.02
+    assert obs[2] < 0.02
 
 
 def test_observation_queue_occupancy_reflected():
@@ -111,8 +120,8 @@ def test_observation_queue_occupancy_reflected():
     q = sim._isl_queue(5, nbr)
     pkt = Packet(id=1, src_gs=0, dst_gs=1, size_bits=64_800, created_ns=0, ttl=24)
     sim._try_enqueue(q, pkt, 0)
-    obs = feat.observe(pkt, sat=5, sim=sim)
-    assert obs.features[7] == pytest.approx(64_800 / sim.cfg.link_buffer_bits)
+    obs = feat.observe(pkt, sat=5)
+    assert obs[7] == pytest.approx(64_800 / sim.cfg.link_buffer_bits)
 
 
 # -- transitions -----------------------------------------------------------------
@@ -213,7 +222,7 @@ def test_buffer_drop_penalty_scales_with_remaining_ttl():
             if not delivered and had and packet.drop_cause == "buffer_full":
                 drop_rewards.append(buf.r[(buf.head - 1) % buf.capacity])
 
-    router = Tap(feat, RandomPolicy(0), CFG, buf)
+    router = Tap(feat, uniform_policy(0), CFG, buf)
     sim = Simulator(c, CITIES, SimConfig(ttl_hops=24, link_buffer_bits=64_800),
                     traffic, router, epoch_s=2.0)
     sim.run()
@@ -241,7 +250,7 @@ def test_obs_router_eval_mode_runs():
     c = build_walker(WalkerConfig(12, 8, 600e3, 53.0, 1))
     traffic = TrafficConfig(100.0, seed=8)
     feat = Featurizer(c, len(CITIES), 24, traffic.max_size_bits)
-    router = ObsRouter(feat, RandomPolicy(0))
+    router = ObsRouter(feat, uniform_policy(0))
     sim = Simulator(c, CITIES, SimConfig(ttl_hops=24), traffic, router, epoch_s=1.0)
     sim.run()
     assert sim.generated > 0 and sim.decisions > 0

@@ -7,13 +7,11 @@ from leoroute.netsim import SimConfig, Simulator, TrafficConfig
 from leoroute.routing import (
     UNREACHABLE,
     ActorPolicy,
+    EpsilonGreedyPolicy,
     GraphSnapshot,
-    Observation,
-    RandomPolicy,
     RandomRouter,
     SpfRouter,
     build_snapshot,
-    decide,
     spf_tables,
 )
 
@@ -113,31 +111,35 @@ def test_spf_path_cost_telescopes():
 
 
 def test_decide_random_policy_uniform():
-    policy = RandomPolicy(seed=0)
-    obs = Observation(np.zeros(4), sat=0, dest_gs=0)
-    counts = np.zeros(4)
+    # the random walk, and an epsilon-greedy policy that always explores
+    arch = nn.Architecture(input_dim=4, hidden_dim=8, n_actions=4)
+    params = nn.init_mlp(arch, np.random.default_rng(0))
+    walk = RandomRouter(seed=0)
+    explore = EpsilonGreedyPolicy(params, epsilon=1.0, seed=0)
+    features = np.zeros(4)
     n = 100_000
-    for _ in range(n):
-        counts[decide(policy, obs).action] += 1
-    assert np.all(np.abs(counts / n - 0.25) < 0.01)
+    for choose in (lambda: walk.choose(None, 0, 0), lambda: explore.decide(features)):
+        counts = np.zeros(4)
+        for _ in range(n):
+            counts[choose()] += 1
+        assert np.all(np.abs(counts / n - 0.25) < 0.01)
 
 
 def test_decide_actor_policy_eval_is_argmax():
     arch = nn.Architecture(input_dim=6, hidden_dim=8, n_actions=4)
     params = nn.init_mlp(arch, np.random.default_rng(0))
     policy = ActorPolicy(params, mode="eval")
-    obs = Observation(np.random.default_rng(1).normal(size=6), sat=0, dest_gs=0)
-    logits = nn.mlp_forward_single(params, obs.features)
+    features = np.random.default_rng(1).normal(size=6)
+    logits = nn.mlp_forward_single(params, features)
     for _ in range(5):
-        assert decide(policy, obs).action == int(np.argmax(logits))
+        assert policy.decide(features) == int(np.argmax(logits))
 
 
 def test_decide_actor_policy_train_samples_all_actions():
     arch = nn.Architecture(input_dim=6, hidden_dim=8, n_actions=4)
     params = {k: np.zeros_like(v) for k, v in nn.init_mlp(arch, np.random.default_rng(0)).items()}
     policy = ActorPolicy(params, mode="train", seed=3)
-    obs = Observation(np.zeros(6), sat=0, dest_gs=0)
-    seen = {decide(policy, obs).action for _ in range(200)}
+    seen = {policy.decide(np.zeros(6)) for _ in range(200)}
     assert seen == {0, 1, 2, 3}
 
 
