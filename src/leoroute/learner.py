@@ -192,7 +192,6 @@ class PrimalLearner:
         self.opt_cost_quant = [nn.AdamState(p) for p in self.cost_quant]
 
         self.steps = 0
-        self._last_entropy = 0.0
         # branch-isolation instrumentation
         self.ops = {"quantile": 0, "cost_avg": 0}
 
@@ -315,13 +314,12 @@ class PrimalLearner:
             penalty += self.lagrange.lam[k] * qc
         return self._actor_step(batch, penalty)
 
-    def actor_update_cvar(self, batch: Batch) -> float:
+    def actor_update_cvar(self, batch: Batch, tails: list[np.ndarray]) -> float:
+        """Actor step penalized by the per-action tail estimates ``tails[k]``
+        of ``cvar_estimate(batch.o, k)``."""
         penalty = np.zeros((len(batch.a), self.arch.n_actions))
-        self._gamma_cache = []
         for k in range(self.lagrange.num_constraints):
-            gam = self.cvar_estimate(batch.o, k)
-            self._gamma_cache.append((batch.o, gam))
-            penalty += self.lagrange.lam[k] * gam
+            penalty += self.lagrange.lam[k] * tails[k]
         return self._actor_step(batch, penalty)
 
     # -- multipliers and temperature ------------------------------------------------------
@@ -337,30 +335,21 @@ class PrimalLearner:
                          (j - self.lagrange.thresholds[k]))
         return lam
 
-    def multiplier_update_cvar(self, batch: Batch) -> np.ndarray:
+    def multiplier_update_cvar(self, batch: Batch, tails: list[np.ndarray]) -> np.ndarray:
+        """Dual ascent on the policy's expected tail cost, from the same
+        per-action tail estimates the actor step used."""
         _, _, pi = self._policy(batch.o)
         lam = self.lagrange.lam
         for k in range(self.lagrange.num_constraints):
-            # the tail estimate only depends on the cost critic, which has
-            # not changed since the actor step: reuse it when available
-            cached = getattr(self, "_gamma_cache", None)
-            if cached and len(cached) > k and cached[k][0] is batch.o:
-                gam = cached[k][1]
-            else:
-                gam = self.cvar_estimate(batch.o, k)
-            j = float((pi * gam).sum(axis=1).mean())
+            j = float((pi * tails[k]).sum(axis=1).mean())
             lam[k] = max(0.0, lam[k] + self.cfg.lr_lambda *
                          (j - self.lagrange.thresholds[k]))
         return lam
 
-    def temperature_update(self, batch: Batch) -> float:
+    def temperature_update(self, batch: Batch) -> tuple[float, float]:
         """Gradient descent on alpha * (H(pi) - H_target), projected to >= 0:
         the temperature falls while entropy sits above target and rises when
-        the policy over-commits."""
-        alpha, self._last_entropy = self._temperature_update_tracked(batch)
-        return alpha
-
-    def _temperature_update_tracked(self, batch: Batch) -> tuple[float, float]:
+        the policy over-commits. Returns the new alpha and the entropy."""
         _, _, pi = self._policy(batch.o)
         h = float(nn.entropy(pi).mean())
         self.lagrange.alpha = max(
@@ -394,9 +383,13 @@ class PrimalLearner:
             self.multiplier_update_avg(batch)
         else:
             loss_c = self.critic_update_cost_quantile(batch, pi2)
-            loss_a = self.actor_update_cvar(batch)
-            self.multiplier_update_cvar(batch)
-        alpha, entropy = self._temperature_update_tracked(batch)
+            # the cost critic is fixed from here on, so one tail estimate per
+            # constraint serves both the actor and the multiplier step
+            tails = [self.cvar_estimate(batch.o, k)
+                     for k in range(self.lagrange.num_constraints)]
+            loss_a = self.actor_update_cvar(batch, tails)
+            self.multiplier_update_cvar(batch, tails)
+        alpha, entropy = self.temperature_update(batch)
         self.soft_update_targets()
         self.steps += 1
         return {
@@ -420,11 +413,6 @@ class PrimalLearner:
             out[f"cost_quant_{k}"] = self.cost_quant[k]
             out[f"cost_quant_target_{k}"] = self.cost_quant_target[k]
         return out
-
-    def load_blocks(self, blocks: dict) -> None:
-        for name, params in self.blocks().items():
-            for key in params:
-                params[key][...] = blocks[name][key]
 
 
 class MadqnLearner:
@@ -479,8 +467,3 @@ class MadqnLearner:
 
     def blocks(self) -> dict:
         return {"q": self.q, "q_target": self.q_target}
-
-    def load_blocks(self, blocks: dict) -> None:
-        for name, params in self.blocks().items():
-            for key in params:
-                params[key][...] = blocks[name][key]
