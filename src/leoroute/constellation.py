@@ -248,11 +248,3 @@ def great_circle_distance(a: tuple[float, float], b: tuple[float, float],
     s_lon = math.sin(0.5 * (lon2 - lon1))
     h = s_lat * s_lat + math.cos(lat1) * math.cos(lat2) * s_lon * s_lon
     return 2.0 * radius_m * math.asin(min(1.0, math.sqrt(h)))
-
-
-def central_angle_distance(unit_a: np.ndarray, unit_b: np.ndarray,
-                           radius_m: float = EARTH_RADIUS_M) -> np.ndarray:
-    """Surface distance between points given as geocentric unit vectors.
-    Used for sub-satellite-point to ground-station distances."""
-    dots = np.clip(np.sum(unit_a * unit_b, axis=-1), -1.0, 1.0)
-    return radius_m * np.arccos(dots)

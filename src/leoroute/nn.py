@@ -121,12 +121,6 @@ def quantile_features(zetas: np.ndarray, embed_dim: int) -> np.ndarray:
     return np.cos(np.pi * np.asarray(zetas)[..., None] * i)
 
 
-def quantile_embed(params: dict, zetas: np.ndarray) -> np.ndarray:
-    """Linear projection of the cosine features into the trunk width."""
-    feats = quantile_features(zetas, params["ew"].shape[0])
-    return feats @ params["ew"] + params["eb"]
-
-
 def quantile_forward(params: dict, x: np.ndarray, zetas: np.ndarray):
     """x is (B, input_dim), zetas is (B, N) in [0, 1]. Returns (out, cache)
     with out of shape (B, N, n_actions): per-action values at each quantile
