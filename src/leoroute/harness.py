@@ -151,6 +151,20 @@ def run_train(scenario: Scenario, algo: str, seed: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _check_policy_block(scenario: Scenario, algo: str, blocks: dict) -> None:
+    """Fail unless the block the evaluated policy reads has exactly the
+    shapes the scenario's architecture gives it."""
+    name = "q" if algo == ALGO_MADQN else "actor"
+    arch = _architecture(scenario)
+    want = {k: v.shape for k, v in nn.init_mlp(arch, np.random.default_rng(0)).items()}
+    block = blocks.get(name)
+    got = None if block is None else {k: np.shape(v) for k, v in block.items()}
+    if got != want:
+        raise ConfigurationError(
+            f"checkpoint block '{name}' does not fit the scenario's {arch}: "
+            f"expected shapes {want}, found {'no such block' if got is None else got}")
+
+
 def _eval_router(scenario: Scenario, algo: str, blocks: Optional[dict], seed: int):
     if algo == ALGO_SPF:
         return SpfRouter(ref_size_bits=scenario.traffic.max_size_bits)
@@ -199,6 +213,8 @@ def run_eval(scenario: Optional[Scenario], policy_source, seeds,
         if scenario is None:
             raise ConfigurationError("baseline evaluation needs a scenario")
 
+    if blocks is not None:
+        _check_policy_block(scenario, algo, blocks)
     seeds = [int(s) for s in seeds]
     s_hash = scenario_hash(scenario)
     constellation = build_walker(scenario.walker)

@@ -1,10 +1,12 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from leoroute import nn
 from leoroute.errors import ConfigurationError
 from leoroute.harness import canonical_algo, compare, run_eval, run_train
 from leoroute.metrics import MetricsReport, empirical_cvar, report_from_sim
@@ -22,6 +24,9 @@ from leoroute.scenario import (
 )
 from leoroute.learner import LearnerConfig
 from leoroute.netsim import TrafficConfig
+
+STORED_CHECKPOINT = (Path(__file__).resolve().parent.parent / "perfbench" / "data"
+                     / "primal_cvar_desk_seed1.npz")
 
 
 def tiny_scenario(**run_kw) -> Scenario:
@@ -215,6 +220,39 @@ def test_run_eval_train_result_greedy_deterministic():
 def test_run_eval_baseline_requires_scenario():
     with pytest.raises(ConfigurationError):
         run_eval(None, "spf", seeds=[1])
+
+
+def _reshaped_checkpoint(tmp_path, edit):
+    """The stored desk PRIMAL-CVaR checkpoint with its blocks edited."""
+    blocks, meta, _ = nn.load_checkpoint(STORED_CHECKPOINT)
+    edit(blocks)
+    path = tmp_path / "checkpoint.npz"
+    nn.save_checkpoint(path, blocks, meta)
+    return path
+
+
+def _head_with(n_actions):
+    def edit(blocks):
+        actor = blocks["actor"]
+        actor["w2"] = np.zeros((actor["w2"].shape[0], n_actions))
+        actor["b2"] = np.zeros(n_actions)
+    return edit
+
+
+@pytest.mark.parametrize("n_actions", [3, 5])
+def test_run_eval_rejects_checkpoint_head_of_wrong_width(tmp_path, n_actions):
+    # a wider head could pick an action that is not a grid direction, a
+    # narrower one would silently never route East
+    path = _reshaped_checkpoint(tmp_path, _head_with(n_actions))
+    with pytest.raises(ConfigurationError,
+                       match=rf"'actor'.*'w2': \(64, 4\).*'w2': \(64, {n_actions}\)"):
+        run_eval(None, path, seeds=[1])
+
+
+def test_run_eval_rejects_checkpoint_without_policy_block(tmp_path):
+    path = _reshaped_checkpoint(tmp_path, lambda blocks: blocks.pop("actor"))
+    with pytest.raises(ConfigurationError, match="'actor'.*no such block"):
+        run_eval(None, path, seeds=[1])
 
 
 # -- comparison -------------------------------------------------------------------------
