@@ -1,7 +1,6 @@
-"""Golden digests: pin the exact output of short desk runs across commits.
+"""Golden digests: pin the exact output of short runs across commits.
 
-Each test runs one short, seeded desk-scale run and compares hex digests
-of its output with literal values: the sha256 of ``MetricsReport.to_json()``
+Each test runs one short, seeded run and compares hex digests of its output with literal values: the sha256 of ``MetricsReport.to_json()``
 and, for evaluation runs, the simulator's ``trace_digest()``; for training
 runs, a digest of every learned parameter block. Any change to event
 order, routing decisions, observations, RNG streams or float arithmetic
@@ -24,10 +23,11 @@ from leoroute import nn
 from leoroute.constellation import build_walker
 from leoroute.env import Featurizer, ObsRouter
 from leoroute.harness import run_train
+from leoroute.linkmodel import RateModel
 from leoroute.metrics import report_from_sim
-from leoroute.netsim import Simulator
+from leoroute.netsim import Simulator, TrafficConfig
 from leoroute.routing import ActorPolicy, RandomRouter, SpfRouter
-from leoroute.scenario import desk_scenario, scenario_hash
+from leoroute.scenario import desk_scenario, paper_scale_scenario, scenario_hash
 
 CHECKPOINT = (Path(__file__).resolve().parent.parent / "perfbench" / "data"
               / "primal_cvar_desk_seed1.npz")
@@ -42,6 +42,16 @@ EVAL_GOLDENS = {
     "primal-cvar-checkpoint": (
         "da425bf946faca99e59219dbe32b084f853d0c04cc8ef1033f3ae4cb23337608",
         "3b8e528c02361b58f6b0f5e89412b672"),
+}
+
+SCENARIO_GOLDENS = {
+    # name: (report sha256, trace digest)
+    "desk-spf-physical-120s": (
+        "cbcf04be8bd899bd0f2dcfc2d33d81cfe83fe69a5f4344fd9926b9c3d3c5d277",
+        "82ed6b04f8c76c7238879c218b6e4b8e"),
+    "paper-scale-spf-0.5s": (
+        "46aa78e13837b819314443dae2e0c0da644969904bad7fa627736d629cc53c8a",
+        "167269617dc7825ea75436253d8e6d39"),
 }
 
 TRAIN_GOLDENS = {
@@ -93,6 +103,38 @@ def test_eval_golden(name):
     report = report_from_sim(sim, sc.run.dqmax_s, scenario_hash(sc), SEED)
     got = (_sha256(report.to_json()), sim.trace_digest())
     assert got == EVAL_GOLDENS[name]
+
+
+def _scenario(name: str):
+    """SPF runs on code the desk goldens do not reach. The physical desk
+    run uses distance-dependent ISL and GSL rates for long enough that
+    stations hand over between access satellites; the paper-scale run
+    covers the 1,584-satellite geometry."""
+    if name == "desk-spf-physical-120s":
+        base = desk_scenario()
+        sim_cfg = replace(base.sim, gsl_rate_model=RateModel("physical"),
+                          isl_rate_model=RateModel("physical"))
+        return desk_scenario(sim=sim_cfg, traffic=TrafficConfig(50.0),
+                             run=replace(base.run, eval_epoch_s=120.0))
+    base = paper_scale_scenario()
+    return paper_scale_scenario(traffic=TrafficConfig(1000.0),
+                                run=replace(base.run, eval_epoch_s=0.5))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_GOLDENS))
+def test_scenario_golden(name):
+    sc = _scenario(name)
+    sim = Simulator(build_walker(sc.walker), sc.stations, sc.sim,
+                    replace(sc.traffic, seed=SEED),
+                    SpfRouter(ref_size_bits=sc.traffic.max_size_bits),
+                    epoch_s=sc.run.eval_epoch_s, trace=True)
+    sim.run()
+    if name == "desk-spf-physical-120s":
+        # a station handed over: some station was served by two satellites
+        assert len(sim.down_queues) > sim.num_gs
+    report = report_from_sim(sim, sc.run.dqmax_s, scenario_hash(sc), SEED)
+    got = (_sha256(report.to_json()), sim.trace_digest())
+    assert got == SCENARIO_GOLDENS[name]
 
 
 @pytest.mark.parametrize("algo", sorted(TRAIN_GOLDENS))
