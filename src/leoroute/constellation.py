@@ -188,16 +188,51 @@ def satellite_position(constellation: Constellation, sat: NodeId, t: float) -> P
     return Position3D(float(pos[0]), float(pos[1]), float(pos[2]), t)
 
 
+class StationGeometry(NamedTuple):
+    """Ground-station geometry at one instant for G stations and S
+    satellites."""
+
+    positions: np.ndarray         # (G, 3) station ECI positions, m
+    distances: np.ndarray         # (S, G) satellite-to-station distances, m
+    elevations: np.ndarray        # (S, G) satellite elevations, degrees
+    access: list[Optional[int]]   # per station: access satellite index or None
+
+
+def _station_positions(stations, t: float, r: float) -> np.ndarray:
+    """(G, 3) ECI station positions; longitude advances at the sidereal
+    rate, so stations move under the inertially fixed orbital planes."""
+    lat = np.radians([gs.latitude_deg for gs in stations])
+    lon = np.radians([gs.longitude_deg for gs in stations]) + SIDEREAL_RATE * t
+    return np.stack([r * np.cos(lat) * np.cos(lon),
+                     r * np.cos(lat) * np.sin(lon),
+                     r * np.sin(lat)], axis=1)
+
+
+def station_geometry(stations, positions: np.ndarray, t: float,
+                     earth_radius_m: float = EARTH_RADIUS_M) -> StationGeometry:
+    """Positions of all stations at time t, their distances to the
+    satellites at ``positions`` (stamped at the same t), each satellite's
+    elevation above each station's local horizontal plane, and each
+    station's access satellite: the highest one, or None when it does not
+    clear the station's minimum elevation. Exact elevation ties go to the
+    lowest satellite index."""
+    gs_pos = _station_positions(stations, t, earth_radius_m)
+    rel = positions[None, :, :] - gs_pos[:, None, :]              # (G, S, 3)
+    dist = np.linalg.norm(rel, axis=2)
+    up = np.stack([p / np.linalg.norm(p) for p in gs_pos])
+    sin_el = np.matmul(rel, up[:, :, None])[:, :, 0] / dist
+    el = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
+    best = np.argmax(el, axis=1)   # argmax returns the first (lowest) index on ties
+    access = [int(b) if el[g, b] >= gs.min_elevation_deg else None
+              for g, (b, gs) in enumerate(zip(best, stations))]
+    return StationGeometry(gs_pos, dist.T, el.T, access)
+
+
 def ground_station_position(gs: GroundStation, t: float,
                             earth_radius_m: float = EARTH_RADIUS_M) -> Position3D:
-    """ECI position of a ground station; longitude advances at the sidereal
-    rate so stations move under the (inertially fixed) orbital planes."""
-    lat = math.radians(gs.latitude_deg)
-    lon = math.radians(gs.longitude_deg) + SIDEREAL_RATE * t
-    r = earth_radius_m
-    return Position3D(r * math.cos(lat) * math.cos(lon),
-                      r * math.cos(lat) * math.sin(lon),
-                      r * math.sin(lat), t)
+    """ECI position of one ground station at time t."""
+    x, y, z = _station_positions([gs], t, earth_radius_m)[0]
+    return Position3D(float(x), float(y), float(z), t)
 
 
 def elevation_angle(gs: GroundStation, sat_pos: Position3D, t: float,
@@ -206,23 +241,13 @@ def elevation_angle(gs: GroundStation, sat_pos: Position3D, t: float,
     in degrees. The satellite position must be stamped at the same time t."""
     if sat_pos.timestamp != t:
         raise ValueError("satellite position timestamp does not match t")
-    gs_pos = ground_station_position(gs, t, earth_radius_m)
-    gp = gs_pos.vec
-    rel = sat_pos.vec - gp
-    up = gp / np.linalg.norm(gp)
-    sin_el = float(np.dot(rel, up) / np.linalg.norm(rel))
-    sin_el = min(1.0, max(-1.0, sin_el))
-    return math.degrees(math.asin(sin_el))
+    return float(elevations_from(gs, sat_pos.vec[None, :], t, earth_radius_m)[0])
 
 
 def elevations_from(gs: GroundStation, positions: np.ndarray, t: float,
                     earth_radius_m: float = EARTH_RADIUS_M) -> np.ndarray:
     """Elevation angles (degrees) from one station to every satellite."""
-    gp = ground_station_position(gs, t, earth_radius_m).vec
-    rel = positions - gp
-    up = gp / np.linalg.norm(gp)
-    sin_el = (rel @ up) / np.linalg.norm(rel, axis=1)
-    return np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
+    return station_geometry([gs], positions, t, earth_radius_m).elevations[:, 0]
 
 
 def access_satellite(gs: GroundStation, constellation: Constellation, t: float,
@@ -232,11 +257,9 @@ def access_satellite(gs: GroundStation, constellation: Constellation, t: float,
     satellite index."""
     if positions is None:
         positions = propagate(constellation, t)
-    el = elevations_from(gs, positions, t, constellation.cfg.earth_radius_m)
-    best = int(np.argmax(el))      # argmax returns the first (lowest) index on ties
-    if el[best] < gs.min_elevation_deg:
-        return None
-    return sat_id(best)
+    best = station_geometry([gs], positions, t,
+                            constellation.cfg.earth_radius_m).access[0]
+    return None if best is None else sat_id(best)
 
 
 def great_circle_distance(a: tuple[float, float], b: tuple[float, float],

@@ -2,7 +2,8 @@
 
 Time is integer nanoseconds internally so event ordering and the per-hop
 delay decomposition are exact and reproducible; delay formulas are evaluated
-in float seconds at the boundary and rounded once. Events are processed in
+in float seconds at the boundary and rounded once. Events are plain
+``(time_ns, seq, kind, payload)`` heap tuples processed in
 (time, insertion-sequence) order. Packets move store-and-forward through
 FIFO output queues with finite per-link and per-node buffers; a drop is a
 modeled outcome, never an error.
@@ -13,18 +14,18 @@ from __future__ import annotations
 import hashlib
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import linkmodel
 from .constellation import (
-    SIDEREAL_RATE,
     Constellation,
     GroundStation,
     build_walker,
     propagate,
+    station_geometry,
 )
 from .errors import ConfigurationError, SimulationError
 
@@ -42,61 +43,42 @@ def to_s(ns: int) -> float:
 # ---------------------------------------------------------------------------
 # Events
 
-PACKET_ARRIVAL = "packet_arrival"
-TX_COMPLETE = "tx_complete"
-TRAFFIC_TICK = "traffic_tick"
-TOPOLOGY_REFRESH = "topology_refresh"
-TRAIN_TICK = "train_tick"
-METRICS_TICK = "metrics_tick"
-
-_KIND_CODE = {PACKET_ARRIVAL: 0, TX_COMPLETE: 1, TRAFFIC_TICK: 2,
-              TOPOLOGY_REFRESH: 3, TRAIN_TICK: 4, METRICS_TICK: 5}
-
-
-class Event:
-    __slots__ = ("time_ns", "seq", "kind", "payload")
-
-    def __init__(self, time_ns: int, seq: int, kind: str, payload=None):
-        self.time_ns = time_ns
-        self.seq = seq
-        self.kind = kind
-        self.payload = payload
-
-    def __lt__(self, other):
-        return (self.time_ns, self.seq) < (other.time_ns, other.seq)
-
-    def __repr__(self):
-        return f"Event(t={self.time_ns}, seq={self.seq}, kind={self.kind})"
+# event kinds; the trace digest hashes these ints
+PACKET_ARRIVAL = 0     # payload (packet, node, wait_ns, tx_ns, prop_ns)
+TX_COMPLETE = 1        # payload: the OutputQueue
+TRAFFIC_TICK = 2       # payload: index into the traffic stream
+TOPOLOGY_REFRESH = 3
+TRAIN_TICK = 4
+METRICS_TICK = 5
 
 
 class EventQueue:
-    """Min-heap of events ordered by (time, seq). Scheduling into the past is
-    a bug in the caller, not a modeled outcome."""
+    """Min-heap of ``(time_ns, seq, kind, payload)`` tuples. The unique seq
+    orders equal times by insertion, so payloads are never compared.
+    Scheduling into the past is a bug in the caller, not a modeled
+    outcome."""
 
     def __init__(self):
-        self._heap: list[Event] = []
+        self.heap: list[tuple] = []
         self._seq = 0
         self.now_ns = 0
 
     def __len__(self):
-        return len(self._heap)
+        return len(self.heap)
 
-    def schedule(self, time_ns: int, kind: str, payload=None) -> Event:
+    def schedule(self, time_ns: int, kind: int, payload=None) -> tuple:
         if time_ns < self.now_ns:
             raise SimulationError(
-                f"past-dated event: t={time_ns} < now={self.now_ns} ({kind})")
+                f"past-dated event: t={time_ns} < now={self.now_ns} (kind {kind})")
         self._seq += 1
-        ev = Event(time_ns, self._seq, kind, payload)
-        heapq.heappush(self._heap, ev)
+        ev = (time_ns, self._seq, kind, payload)
+        heapq.heappush(self.heap, ev)
         return ev
 
-    def pop(self) -> Event:
-        ev = heapq.heappop(self._heap)
-        self.now_ns = ev.time_ns
+    def pop(self) -> tuple:
+        ev = heapq.heappop(self.heap)
+        self.now_ns = ev[0]
         return ev
-
-    def next_time(self) -> Optional[int]:
-        return self._heap[0].time_ns if self._heap else None
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +146,6 @@ def generate_traffic(cfg: TrafficConfig, epoch_s: float,
 # ---------------------------------------------------------------------------
 # Packets and queues
 
-class HopRecord(NamedTuple):
-    from_node: int
-    to_node: int
-    start_ns: int        # arrival/enqueue time at the sending node
-    queue_ns: int        # measured wait before service start
-    tx_ns: int
-    prop_ns: int
-
-
 @dataclass(slots=True)
 class Packet:
     id: int
@@ -185,7 +158,6 @@ class Packet:
     cum_queue_ns: int = 0
     cum_prop_ns: int = 0
     cum_tx_ns: int = 0
-    hop_records: list = field(default_factory=list)
     status: str = "in_flight"      # in_flight | delivered | dropped
     drop_cause: str = ""
 
@@ -202,25 +174,28 @@ class _QueueEntry:
 
 class OutputQueue:
     """FIFO output buffer for one outgoing link. Bits of the in-service
-    packet occupy the buffer until its transmission completes. Uplink queues
-    carry dst_node = -1 and resolve the station's access satellite when a
-    transmission starts."""
+    packet occupy the buffer until its transmission completes. An ISL queue
+    records its grid direction, a ground link queue its station (the other
+    field is -1). Uplink queues carry dst_node = -1 and resolve the
+    station's access satellite when a transmission starts."""
 
-    __slots__ = ("src_node", "dst_node", "kind", "capacity_bits", "waiting",
-                 "queued_bits", "pending_tx_ns", "busy_until_ns", "in_service",
-                 "service_meta")
+    __slots__ = ("src_node", "dst_node", "direction", "station", "capacity_bits",
+                 "waiting", "queued_bits", "pending_tx_ns", "busy_until_ns",
+                 "in_service", "service_meta")
 
-    def __init__(self, src_node: int, dst_node: int, kind: str, capacity_bits: int):
+    def __init__(self, src_node: int, dst_node: int, direction: int, station: int,
+                 capacity_bits: int):
         self.src_node = src_node
         self.dst_node = dst_node
-        self.kind = kind                  # "isl" | "gsl"
+        self.direction = direction
+        self.station = station
         self.capacity_bits = capacity_bits
         self.waiting: deque[_QueueEntry] = deque()
         self.queued_bits = 0
         self.pending_tx_ns = 0            # estimated tx time of waiting packets
         self.busy_until_ns = 0
         self.in_service: Optional[_QueueEntry] = None
-        self.service_meta = None          # (service_start, tx_ns, prop_ns, dst, wait)
+        self.service_meta = None          # (tx_ns, prop_ns, dst, wait)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +284,7 @@ class Simulator:
     def __init__(self, constellation: Constellation, stations: list[GroundStation],
                  sim_cfg: SimConfig, traffic_cfg: TrafficConfig, router: Router,
                  epoch_s: float, check_invariants: bool = False, trace: bool = False,
-                 record_hops: bool = True, metrics_interval_s: Optional[float] = None,
+                 metrics_interval_s: Optional[float] = None,
                  train_interval_s: Optional[float] = None):
         self.constellation = constellation
         self.stations = stations
@@ -318,7 +293,6 @@ class Simulator:
         self.router = router
         self.epoch_s = epoch_s
         self.check_invariants = check_invariants
-        self.record_hops = record_hops
         self.metrics_interval_s = metrics_interval_s
         self.train_interval_s = train_interval_s
         self.train_hook = None
@@ -328,24 +302,15 @@ class Simulator:
         self.num_gs = len(stations)
         self.neighbors = constellation.neighbors          # (S, 4) int
         self.light_speed = sim_cfg.gsl_params.light_speed
-        # direction index of each directed ISL, for the per-refresh distance cache
-        self._isl_dir = {}
-        for i in range(self.num_sats):
-            for k in range(4):
-                self._isl_dir.setdefault((i, int(self.neighbors[i, k])), k)
 
         self.events = EventQueue()
         self._trace = hashlib.blake2b(digest_size=16) if trace else None
 
-        # geometry caches, refreshed every refresh interval
-        self.positions = np.zeros((self.num_sats, 3))
-        self.gs_positions = np.zeros((self.num_gs, 3))
-        self.isl_dist = np.zeros((self.num_sats, 4))
-        self.access: list[Optional[int]] = [None] * self.num_gs
+        self._refresh_geometry(0)
 
         self.isl_queues: dict[tuple[int, int], OutputQueue] = {}
         self.up_queues: list[OutputQueue] = [
-            OutputQueue(self.num_sats + g, -1, "gsl", sim_cfg.link_buffer_bits)
+            OutputQueue(self.num_sats + g, -1, -1, g, sim_cfg.link_buffer_bits)
             for g in range(self.num_gs)]
         self.down_queues: dict[tuple[int, int], OutputQueue] = {}
         self.node_bits = np.zeros(self.num_sats + self.num_gs, dtype=np.int64)
@@ -366,7 +331,6 @@ class Simulator:
         self._interval = _IntervalAccumulator()
 
         self._stream = generate_traffic(traffic_cfg, epoch_s, self.num_gs)
-        self._refresh_geometry(0)
         self.router.on_topology_refresh(self)
         self.events.schedule(to_ns(sim_cfg.refresh_interval_s), TOPOLOGY_REFRESH)
         if self._stream:
@@ -383,50 +347,40 @@ class Simulator:
 
     # -- geometry -----------------------------------------------------------
     def _refresh_geometry(self, t_ns: int) -> None:
+        """Geometry caches, refreshed every refresh interval: satellite and
+        station positions, the (S, 4) ISL lengths by grid direction, the
+        (S, G) ground link lengths and each station's access satellite."""
         t = to_s(t_ns)
         self.positions = propagate(self.constellation, t)
-        r = self.constellation.cfg.earth_radius_m
-        lat = np.radians([gs.latitude_deg for gs in self.stations])
-        lon = np.radians([gs.longitude_deg for gs in self.stations]) + SIDEREAL_RATE * t
-        self.gs_positions = np.stack([r * np.cos(lat) * np.cos(lon),
-                                      r * np.cos(lat) * np.sin(lon),
-                                      r * np.sin(lat)], axis=1)
         diffs = self.positions[self.neighbors] - self.positions[:, None, :]
         self.isl_dist = np.linalg.norm(diffs, axis=2)
-        for g, gs in enumerate(self.stations):
-            rel = self.positions - self.gs_positions[g]
-            up = self.gs_positions[g] / np.linalg.norm(self.gs_positions[g])
-            sin_el = (rel @ up) / np.linalg.norm(rel, axis=1)
-            el = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
-            best = int(np.argmax(el))   # first index wins exact ties
-            self.access[g] = best if el[best] >= gs.min_elevation_deg else None
-
-    def _gsl_distance(self, sat: int, g: int) -> float:
-        d = self.positions[sat] - self.gs_positions[g]
-        return float(np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]))
+        geo = station_geometry(self.stations, self.positions, t,
+                               self.constellation.cfg.earth_radius_m)
+        self.gs_positions, self.gsl_dist, self.access = (
+            geo.positions, geo.distances, geo.access)
 
     def _rate_and_distance(self, q: OutputQueue, dst_node: int) -> tuple[float, float]:
-        if q.kind == "isl":
-            d = float(self.isl_dist[q.src_node, self._isl_dir[(q.src_node, dst_node)]])
-            return linkmodel.isl_rate(self.cfg.isl_rate_model, self.cfg.isl_params, d), d
-        if q.src_node >= self.num_sats:   # uplink
-            d = self._gsl_distance(dst_node, q.src_node - self.num_sats)
-        else:                             # downlink
-            d = self._gsl_distance(q.src_node, dst_node - self.num_sats)
-        return linkmodel.gsl_rate(self.cfg.gsl_rate_model, self.cfg.gsl_params, d), d
+        cfg = self.cfg
+        if q.station < 0:
+            d = float(self.isl_dist[q.src_node, q.direction])
+            return linkmodel.isl_rate(cfg.isl_rate_model, cfg.isl_params, d), d
+        # satellites are numbered before stations: the smaller node is the satellite
+        d = float(self.gsl_dist[min(q.src_node, dst_node), q.station])
+        return linkmodel.gsl_rate(cfg.gsl_rate_model, cfg.gsl_params, d), d
 
     # -- queue mechanics ------------------------------------------------------
-    def _isl_queue(self, src: int, dst: int) -> OutputQueue:
-        q = self.isl_queues.get((src, dst))
+    def _isl_queue(self, sat: int, direction: int) -> OutputQueue:
+        nbr = int(self.neighbors[sat, direction])
+        q = self.isl_queues.get((sat, nbr))
         if q is None:
-            q = OutputQueue(src, dst, "isl", self.cfg.link_buffer_bits)
-            self.isl_queues[(src, dst)] = q
+            q = OutputQueue(sat, nbr, direction, -1, self.cfg.link_buffer_bits)
+            self.isl_queues[(sat, nbr)] = q
         return q
 
     def _down_queue(self, sat: int, g: int) -> OutputQueue:
         q = self.down_queues.get((sat, g))
         if q is None:
-            q = OutputQueue(sat, self.num_sats + g, "gsl", self.cfg.link_buffer_bits)
+            q = OutputQueue(sat, self.num_sats + g, -1, g, self.cfg.link_buffer_bits)
             self.down_queues[(sat, g)] = q
         return q
 
@@ -479,7 +433,7 @@ class Simulator:
         if entry.predicted_queue_ns >= 0 and actual_wait != entry.predicted_queue_ns:
             self.dq_prediction_mismatches += 1
         q.in_service = entry
-        q.service_meta = (now_ns, tx_ns, prop_ns, target, actual_wait)
+        q.service_meta = (tx_ns, prop_ns, target, actual_wait)
         q.busy_until_ns = now_ns + tx_ns
         self.events.schedule(q.busy_until_ns, TX_COMPLETE, q)
 
@@ -504,24 +458,21 @@ class Simulator:
         entry = q.in_service
         if entry is None:
             raise SimulationError("tx_complete on idle link")
-        _, tx_ns, prop_ns, target, wait_ns = q.service_meta
+        tx_ns, prop_ns, target, wait_ns = q.service_meta
         q.in_service = None
         q.service_meta = None
         q.queued_bits -= entry.packet.size_bits
         self.node_bits[q.src_node] -= entry.packet.size_bits
-        hop = HopRecord(q.src_node, target, entry.enqueue_ns, wait_ns, tx_ns, prop_ns)
         self.events.schedule(now_ns + prop_ns, PACKET_ARRIVAL,
-                             (entry.packet, target, hop))
+                             (entry.packet, target, wait_ns, tx_ns, prop_ns))
         if q.waiting:
             self._start_service(q, now_ns)
 
-    def _handle_arrival(self, packet: Packet, node: int, hop: HopRecord,
-                        now_ns: int) -> None:
-        packet.cum_queue_ns += hop.queue_ns
-        packet.cum_tx_ns += hop.tx_ns
-        packet.cum_prop_ns += hop.prop_ns
-        if self.record_hops:
-            packet.hop_records.append(hop)
+    def _handle_arrival(self, packet: Packet, node: int, wait_ns: int, tx_ns: int,
+                        prop_ns: int, now_ns: int) -> None:
+        packet.cum_queue_ns += wait_ns
+        packet.cum_tx_ns += tx_ns
+        packet.cum_prop_ns += prop_ns
         if node >= self.num_sats:
             self._deliver(packet, now_ns)
             return
@@ -542,8 +493,7 @@ class Simulator:
         if action < 0:
             self._drop(packet, DROP_NO_ROUTE, node, now_ns)
             return
-        nbr = int(self.neighbors[node, action])
-        if not self._try_enqueue(self._isl_queue(node, nbr), packet, now_ns):
+        if not self._try_enqueue(self._isl_queue(node, action), packet, now_ns):
             self._drop(packet, DROP_BUFFER, node, now_ns)
 
     def _deliver(self, packet: Packet, now_ns: int) -> None:
@@ -599,20 +549,18 @@ class Simulator:
         events = self.events
         check = self.check_invariants
         trace = self._trace
-        while len(events) and events.next_time() <= end_ns:
-            ev = events.pop()
-            now = ev.time_ns
-            kind = ev.kind
+        heap = events.heap
+        while heap and heap[0][0] <= end_ns:
+            now, seq, kind, payload = events.pop()
             if trace is not None:
-                pid = ev.payload[0].id if kind == PACKET_ARRIVAL else -1
-                trace.update(f"{now},{ev.seq},{_KIND_CODE[kind]},{pid};".encode())
+                pid = payload[0].id if kind == PACKET_ARRIVAL else -1
+                trace.update(f"{now},{seq},{kind},{pid};".encode())
             if kind == PACKET_ARRIVAL:
-                packet, node, hop = ev.payload
-                self._handle_arrival(packet, node, hop, now)
+                self._handle_arrival(*payload, now)
             elif kind == TX_COMPLETE:
-                self._handle_tx_complete(ev.payload, now)
+                self._handle_tx_complete(payload, now)
             elif kind == TRAFFIC_TICK:
-                self._handle_traffic(ev.payload, now)
+                self._handle_traffic(payload, now)
             elif kind == TOPOLOGY_REFRESH:
                 self._handle_refresh(now)
             elif kind == TRAIN_TICK:

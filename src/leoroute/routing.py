@@ -61,7 +61,7 @@ def build_snapshot(sim: Simulator, ref_size_bits: int = 64_800) -> GraphSnapshot
         acc = sim.access[g]
         if acc is None:
             continue
-        d = sim._gsl_distance(acc, g)
+        d = float(sim.gsl_dist[acc, g])
         rate = linkmodel.gsl_rate(cfg.gsl_rate_model, cfg.gsl_params, d)
         w = d / sim.light_speed + ref_size_bits / rate
         gs_node = sim.num_sats + g

@@ -116,8 +116,7 @@ def test_observation_gcd_zero_at_access_satellite():
 def test_observation_queue_occupancy_reflected():
     sim, router, _, feat = build_setup(rate=0.0)
     from leoroute.netsim import Packet
-    nbr = int(sim.neighbors[5, 0])
-    q = sim._isl_queue(5, nbr)
+    q = sim._isl_queue(5, 0)
     pkt = Packet(id=1, src_gs=0, dst_gs=1, size_bits=64_800, created_ns=0, ttl=24)
     sim._try_enqueue(q, pkt, 0)
     obs = feat.observe(pkt, sat=5)

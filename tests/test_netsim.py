@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import leoroute.netsim as ns
-from leoroute.constellation import GroundStation, WalkerConfig, build_walker, gs_id
+from leoroute.constellation import (
+    GroundStation,
+    WalkerConfig,
+    access_satellite,
+    build_walker,
+    gs_id,
+    sat_id,
+)
 from leoroute.errors import ConfigurationError, SimulationError
 from leoroute.netsim import (
     EventQueue,
@@ -14,6 +21,7 @@ from leoroute.netsim import (
     to_ns,
 )
 from leoroute.routing import RandomRouter
+from leoroute.scenario import desk_scenario, paper_scale_scenario
 
 CITIES = [
     GroundStation(gs_id(0), 49.6116, 6.1319, 10.0, "luxembourg"),
@@ -33,34 +41,34 @@ def make_sim(rate=200.0, epoch=2.0, seed=0, planes=12, per_plane=8, **kw):
 
 def test_event_queue_orders_by_time():
     q = EventQueue()
-    q.schedule(300, "traffic_tick")
-    q.schedule(100, "traffic_tick")
-    q.schedule(200, "traffic_tick")
-    assert [q.pop().time_ns for _ in range(3)] == [100, 200, 300]
+    q.schedule(300, ns.TRAFFIC_TICK)
+    q.schedule(100, ns.TRAFFIC_TICK)
+    q.schedule(200, ns.TRAFFIC_TICK)
+    assert [q.pop()[0] for _ in range(3)] == [100, 200, 300]
 
 
 def test_event_queue_equal_times_insertion_order():
     q = EventQueue()
-    a = q.schedule(50, "traffic_tick", "a")
-    b = q.schedule(50, "traffic_tick", "b")
+    a = q.schedule(50, ns.TRAFFIC_TICK, "a")
+    b = q.schedule(50, ns.TRAFFIC_TICK, "b")
     assert q.pop() is a and q.pop() is b
 
 
 def test_event_queue_schedule_at_current_time():
     q = EventQueue()
-    q.schedule(10, "traffic_tick")
+    q.schedule(10, ns.TRAFFIC_TICK)
     q.pop()
-    now = q.schedule(10, "metrics_tick")
-    later = q.schedule(11, "metrics_tick")
+    now = q.schedule(10, ns.METRICS_TICK)
+    later = q.schedule(11, ns.METRICS_TICK)
     assert q.pop() is now and q.pop() is later
 
 
 def test_event_queue_rejects_past():
     q = EventQueue()
-    q.schedule(10, "traffic_tick")
+    q.schedule(10, ns.TRAFFIC_TICK)
     q.pop()
     with pytest.raises(SimulationError):
-        q.schedule(9, "traffic_tick")
+        q.schedule(9, ns.TRAFFIC_TICK)
 
 
 def test_event_queue_sorting_oracle_100k():
@@ -68,11 +76,37 @@ def test_event_queue_sorting_oracle_100k():
     times = rng.integers(0, 10_000_000, size=100_000)
     q = EventQueue()
     for t in times:
-        q.schedule(int(t), "traffic_tick")
+        q.schedule(int(t), ns.TRAFFIC_TICK)
     popped = [q.pop() for _ in range(len(times))]
-    keys = [(ev.time_ns, ev.seq) for ev in popped]
+    keys = [(time_ns, seq) for time_ns, seq, _, _ in popped]
     assert keys == sorted(keys)
-    assert sorted(ev.time_ns for ev in popped) == sorted(times.tolist())
+    assert sorted(ev[0] for ev in popped) == sorted(times.tolist())
+
+
+# -- geometry ------------------------------------------------------------------
+
+@pytest.mark.parametrize("preset,epoch", [(desk_scenario, 120.0),
+                                          (paper_scale_scenario, 30.0)])
+def test_refresh_access_matches_access_satellite(preset, epoch):
+    """At every topology refresh, the simulator's access satellites are the
+    ones ``access_satellite`` picks from the same satellite positions."""
+    sc = preset()
+    c = build_walker(sc.walker)
+    seen = []
+
+    class Check(RandomRouter):
+        def on_topology_refresh(self, sim):
+            t = ns.to_s(sim.now_ns)
+            want = [access_satellite(gs, c, t, positions=sim.positions)
+                    for gs in sim.stations]
+            assert want == [None if a is None else sat_id(a) for a in sim.access]
+            seen.append(tuple(sim.access))
+
+    sim = Simulator(c, sc.stations, sc.sim, TrafficConfig(0.0), Check(),
+                    epoch_s=epoch)
+    sim.run()
+    assert len(seen) == round(epoch / sc.sim.refresh_interval_s) + 1
+    assert len(set(seen)) > 1          # the run covers access handovers
 
 
 # -- traffic -------------------------------------------------------------------
@@ -122,7 +156,7 @@ def _manual_packet(pid, size=64_800):
 
 def test_enqueue_empty_buffer_zero_wait():
     sim = make_sim(rate=0.0)
-    q = sim._isl_queue(0, int(sim.neighbors[0, 0]))
+    q = sim._isl_queue(0, 0)
     assert sim._try_enqueue(q, _manual_packet(0), 0)
     assert q.in_service is not None
     assert q.in_service.predicted_queue_ns == 0
@@ -131,7 +165,7 @@ def test_enqueue_empty_buffer_zero_wait():
 def test_enqueue_capacity_246_packets():
     # floor(16e6 / 64800) = 246 packets fit, the 247th is refused
     sim = make_sim(rate=0.0)
-    q = sim._isl_queue(0, int(sim.neighbors[0, 0]))
+    q = sim._isl_queue(0, 0)
     results = [sim._try_enqueue(q, _manual_packet(i), 0) for i in range(247)]
     assert all(results[:246]) and not results[246]
     assert q.queued_bits == 246 * 64_800 <= q.capacity_bits
@@ -139,8 +173,8 @@ def test_enqueue_capacity_246_packets():
 
 def test_node_aggregate_cap_shared_across_links():
     sim = make_sim(rate=0.0)
-    qa = sim._isl_queue(0, int(sim.neighbors[0, 0]))
-    qb = sim._isl_queue(0, int(sim.neighbors[0, 1]))
+    qa = sim._isl_queue(0, 0)
+    qb = sim._isl_queue(0, 1)
     for i in range(123):
         assert sim._try_enqueue(qa, _manual_packet(i), 0)
     for i in range(123):
@@ -152,40 +186,37 @@ def test_node_aggregate_cap_shared_across_links():
 
 def test_tx_complete_schedules_arrival_with_exact_delays():
     sim = make_sim(rate=0.0)
-    nbr = int(sim.neighbors[0, 0])
-    q = sim._isl_queue(0, nbr)
+    q = sim._isl_queue(0, 0)
     dist = float(sim.isl_dist[0, 0])
     sim._try_enqueue(q, _manual_packet(0), 0)
     # service starts immediately: tx completes at L/R, arrival adds d/c
-    ev = sim.events.pop()
-    assert ev.kind == "tx_complete"
+    time_ns, _, kind, _ = sim.events.pop()
+    assert kind == ns.TX_COMPLETE
     expect_tx = to_ns(64_800 / 50e6)
-    assert ev.time_ns == expect_tx == 1_296_000  # 1.296 ms at 50 Mbps
-    sim._handle_tx_complete(q, ev.time_ns)
-    arr = sim.events.pop()
-    assert arr.kind == "packet_arrival"
-    assert arr.time_ns == expect_tx + to_ns(dist / sim.light_speed)
+    assert time_ns == expect_tx == 1_296_000  # 1.296 ms at 50 Mbps
+    sim._handle_tx_complete(q, time_ns)
+    time_ns, _, kind, _ = sim.events.pop()
+    assert kind == ns.PACKET_ARRIVAL
+    assert time_ns == expect_tx + to_ns(dist / sim.light_speed)
 
 
 def test_fifo_service_order():
     sim = make_sim(rate=0.0)
-    nbr = int(sim.neighbors[0, 0])
-    q = sim._isl_queue(0, nbr)
+    q = sim._isl_queue(0, 0)
     pkts = [_manual_packet(i) for i in range(3)]
     for p in pkts:
         sim._try_enqueue(q, p, 0)
     served = []
     for _ in range(3):
-        ev = sim.events.pop()
+        time_ns = sim.events.pop()[0]
         served.append(q.in_service.packet.id)
-        sim._handle_tx_complete(q, ev.time_ns)
+        sim._handle_tx_complete(q, time_ns)
     assert served == [0, 1, 2]
 
 
 def test_queue_wait_prediction_exact_under_fixed_rates():
     sim = make_sim(rate=0.0)
-    nbr = int(sim.neighbors[0, 0])
-    q = sim._isl_queue(0, nbr)
+    q = sim._isl_queue(0, 0)
     for i in range(5):
         sim._try_enqueue(q, _manual_packet(i), 0)
     # second packet waits exactly one transmission, third two, ...
@@ -193,9 +224,9 @@ def test_queue_wait_prediction_exact_under_fixed_rates():
     tx = to_ns(64_800 / 50e6)
     assert preds == [tx, 2 * tx, 3 * tx, 4 * tx]
     while len(sim.events):
-        ev = sim.events.pop()
-        if ev.kind == "tx_complete":
-            sim._handle_tx_complete(q, ev.time_ns)
+        time_ns, _, kind, _ = sim.events.pop()
+        if kind == ns.TX_COMPLETE:
+            sim._handle_tx_complete(q, time_ns)
     assert sim.dq_prediction_mismatches == 0
 
 
@@ -218,27 +249,6 @@ def test_run_conservation_and_delay_identity():
     for rec in sim.delivered_records:
         _, created, e2e, q_ns, p_ns, t_ns, _, _ = rec
         assert e2e == q_ns + p_ns + t_ns
-
-
-def test_run_hop_records_match_cums():
-    sim = make_sim(rate=100.0, epoch=1.0, seed=4)
-    done = {}
-
-    class Spy(RandomRouter):
-        def notify_terminal(self, packet, node, now_ns, delivered):
-            done[packet.id] = packet
-
-    sim.router = Spy(0)
-    sim.run()
-    for p in done.values():
-        if p.status != "delivered":
-            continue
-        assert sum(h.queue_ns for h in p.hop_records) == p.cum_queue_ns
-        assert sum(h.tx_ns for h in p.hop_records) == p.cum_tx_ns
-        assert sum(h.prop_ns for h in p.hop_records) == p.cum_prop_ns
-        # hop chain is contiguous in time
-        for a, b in zip(p.hop_records, p.hop_records[1:]):
-            assert a.start_ns + a.queue_ns + a.tx_ns + a.prop_ns == b.start_ns
 
 
 def test_run_ttl_expiry_under_random_walk():
