@@ -15,13 +15,14 @@ mini-batches to all updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import nn
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SimulationError
 
 MODE_AVG = "avg"
 MODE_CVAR = "cvar"
@@ -392,7 +393,7 @@ class PrimalLearner:
         alpha, entropy = self.temperature_update(batch)
         self.soft_update_targets()
         self.steps += 1
-        return {
+        return _checked({
             "step": self.steps,
             "loss_reward": loss_r,
             "loss_cost": loss_c,
@@ -401,7 +402,7 @@ class PrimalLearner:
             "alpha": alpha,
             "entropy": entropy,
             "buffer": len(buffer),
-        }
+        })
 
     # -- checkpointing -------------------------------------------------------------------
     def blocks(self) -> dict:
@@ -413,6 +414,15 @@ class PrimalLearner:
             out[f"cost_quant_{k}"] = self.cost_quant[k]
             out[f"cost_quant_target_{k}"] = self.cost_quant_target[k]
         return out
+
+
+def _checked(info: dict) -> dict:
+    """Raise when a train step returned a NaN or infinite loss, so a run
+    does not go on learning from garbage."""
+    for key, value in info.items():
+        if key.startswith("loss_") and not math.isfinite(value):
+            raise SimulationError(f"train step {info['step']}: {key} is {value}")
+    return info
 
 
 class MadqnLearner:
@@ -462,8 +472,8 @@ class MadqnLearner:
         loss = self.madqn_baseline_update(batch)
         nn.soft_update(self.q_target, self.q, self.cfg.eta)
         self.steps += 1
-        return {"step": self.steps, "loss_q": loss, "epsilon": self.epsilon,
-                "buffer": len(buffer)}
+        return _checked({"step": self.steps, "loss_q": loss,
+                         "epsilon": self.epsilon, "buffer": len(buffer)})
 
     def blocks(self) -> dict:
         return {"q": self.q, "q_target": self.q_target}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from leoroute import nn
+from leoroute.errors import SimulationError
 from leoroute.learner import (
     Batch,
     LagrangeState,
@@ -456,6 +457,30 @@ def test_train_step_deterministic():
         return [lr.train_step(buf) for _ in range(5)]
 
     assert run() == run()
+
+
+def _buffer_with_one_nan_reward(seed):
+    buf = ReplayBuffer(500, 5, seed=seed)
+    fill_buffer(buf, np.random.default_rng(seed), n=64)
+    buf.r[17] = np.nan
+    return buf
+
+
+@pytest.mark.parametrize("mode", ["avg", "cvar"])
+def test_train_step_nan_reward_raises(mode):
+    lr = PrimalLearner(ARCH, small_cfg(mode=mode), seed=23)
+    buf = _buffer_with_one_nan_reward(7)
+    with pytest.raises(SimulationError, match=r"train step \d+: loss_reward is nan"):
+        for _ in range(50):   # until a batch draws the NaN row
+            lr.train_step(buf)
+
+
+def test_madqn_train_step_nan_reward_raises():
+    lr = MadqnLearner(ARCH, small_cfg(), seed=24)
+    buf = _buffer_with_one_nan_reward(8)
+    with pytest.raises(SimulationError, match=r"train step \d+: loss_q is nan"):
+        for _ in range(50):
+            lr.train_step(buf)
 
 
 def test_soft_update_eta_one_copies_targets():
