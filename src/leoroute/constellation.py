@@ -219,7 +219,8 @@ def station_geometry(stations, positions: np.ndarray, t: float,
     gs_pos = _station_positions(stations, t, earth_radius_m)
     rel = positions[None, :, :] - gs_pos[:, None, :]              # (G, S, 3)
     dist = np.linalg.norm(rel, axis=2)
-    up = np.stack([p / np.linalg.norm(p) for p in gs_pos])
+    # one 1-D norm per station: a norm along axis 1 differs in the last bits
+    up = gs_pos / np.array([np.linalg.norm(p) for p in gs_pos])[:, None]
     sin_el = np.matmul(rel, up[:, :, None])[:, :, 0] / dist
     el = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
     best = np.argmax(el, axis=1)   # argmax returns the first (lowest) index on ties
