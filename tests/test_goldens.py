@@ -1,8 +1,9 @@
 """Golden digests: pin the exact output of short runs across commits.
 
-Each test runs one short, seeded run and compares hex digests of its output with literal values: the sha256 of ``MetricsReport.to_json()``
-and, for evaluation runs, the simulator's ``trace_digest()``; for training
-runs, a digest of every learned parameter block. Any change to event
+Each test runs one short, seeded run and compares hex digests of its
+output with literal values: the sha256 of ``MetricsReport.to_json()`` and,
+for evaluation runs, the simulator's ``trace_digest()``; for training runs,
+a digest of every learned parameter block. Any change to event
 order, routing decisions, observations, RNG streams or float arithmetic
 shows up here within seconds.
 
