@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -596,7 +596,7 @@ def run_epoch(scenario, duration: Optional[float] = None,
     constellation = build_walker(scenario.walker)
     traffic = scenario.traffic
     if seed is not None:
-        traffic = TrafficConfig(traffic.rate_pps, traffic.size_mix, seed)
+        traffic = replace(traffic, seed=seed)
     sim = Simulator(constellation, scenario.stations, scenario.sim, traffic,
                     router if router is not None else RandomRouter(traffic.seed),
                     epoch_s=scenario.epoch_s if duration is None else duration,

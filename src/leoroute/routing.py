@@ -1,19 +1,17 @@
 """Routing strategies behind the simulator's one decision interface,
 ``Router.choose(packet, sat, now_ns) -> action``.
 
-Routers are the shortest-path-first baseline (Dijkstra over propagation +
-transmission weights, deliberately queuing-oblivious) and a uniform random
-walk. Learned routers hand a local feature vector to a policy: any object
-with ``decide(features) -> int``. Policies here map the vector to a
-categorical action over the four grid directions (sampled while training,
+Routers are the shortest-path-first baseline (min-plus shortest paths over
+propagation + transmission weights, deliberately queuing-oblivious) and a
+uniform random walk. Learned routers hand a local feature vector to a policy:
+any object with ``decide(features) -> int``. Policies here map the vector to
+a categorical action over the four grid directions (sampled while training,
 argmax in evaluation).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,98 +21,105 @@ from .netsim import Packet, Router, Simulator
 
 @dataclass
 class GraphSnapshot:
-    """Directed graph at one instant; nodes are dense ints (satellites first,
-    then ground stations), edges carry propagation + transmission weights."""
+    """Directed graph at one instant as edge arrays; nodes are dense ints
+    (satellites first, then ground stations), and edge ``i`` runs from
+    ``src[i]`` to ``dst[i]`` with propagation + transmission weight
+    ``weight[i]``."""
 
     num_nodes: int
-    edges: list[tuple[int, int, float]]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
 
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.num_nodes)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-        return adj
 
-    def reverse_adjacency(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.num_nodes)]
-        for u, v, w in self.edges:
-            adj[v].append((u, w))
-        return adj
+def _link_weights(sim: Simulator, dists: np.ndarray, rate_fn, model: linkmodel.RateModel,
+                  params, bits: int) -> np.ndarray:
+    """Propagation delay plus the transmission delay of ``bits`` on each
+    link; a fixed rate gives one delay for all, else one rate call per link."""
+    if model.mode == "fixed":
+        tx = bits / model.fixed_rate_bps
+    else:
+        tx = np.array([bits / rate_fn(model, params, float(d)) for d in dists])
+    return dists / sim.light_speed + tx
 
 
 def build_snapshot(sim: Simulator, ref_size_bits: int = 64_800) -> GraphSnapshot:
-    """Snapshot of the live topology: all grid ISLs plus up/down links for
-    every station that currently has an access satellite. Edge weight is the
-    propagation delay plus the transmission delay of a reference packet."""
+    """Snapshot of the live topology: all grid ISLs but self-loops (a
+    one-plane grid links W and E to the satellite itself), plus an up and a
+    down link for every station that currently has an access satellite.
+    Edge weight is the propagation delay plus the transmission delay of a
+    reference packet."""
     cfg = sim.cfg
-    edges: list[tuple[int, int, float]] = []
-    for i in range(sim.num_sats):
-        for k in range(4):
-            j = int(sim.neighbors[i, k])
-            if i == j:
-                continue
-            d = float(sim.isl_dist[i, k])
-            rate = linkmodel.isl_rate(cfg.isl_rate_model, cfg.isl_params, d)
-            w = d / sim.light_speed + ref_size_bits / rate
-            edges.append((i, j, w))
-    for g in range(sim.num_gs):
-        acc = sim.access[g]
-        if acc is None:
-            continue
-        d = float(sim.gsl_dist[acc, g])
-        rate = linkmodel.gsl_rate(cfg.gsl_rate_model, cfg.gsl_params, d)
-        w = d / sim.light_speed + ref_size_bits / rate
-        gs_node = sim.num_sats + g
-        edges.append((gs_node, acc, w))
-        edges.append((acc, gs_node, w))
-    return GraphSnapshot(sim.num_sats + sim.num_gs, edges)
+    src = np.repeat(np.arange(sim.num_sats), 4)
+    dst = sim.neighbors.reshape(-1)
+    isl = src != dst
+    w_isl = _link_weights(sim, sim.isl_dist.reshape(-1)[isl], linkmodel.isl_rate,
+                          cfg.isl_rate_model, cfg.isl_params, ref_size_bits)
+    up = [(g, acc) for g, acc in enumerate(sim.access) if acc is not None]
+    gs, acc = np.array(up, dtype=np.int64).reshape(-1, 2).T
+    w_gsl = _link_weights(sim, sim.gsl_dist[acc, gs], linkmodel.gsl_rate,
+                          cfg.gsl_rate_model, cfg.gsl_params, ref_size_bits)
+    gs_node = sim.num_sats + gs
+    return GraphSnapshot(sim.num_sats + sim.num_gs, np.concatenate([src[isl], gs_node, acc]),
+                         np.concatenate([dst[isl], acc, gs_node]),
+                         np.concatenate([w_isl, w_gsl, w_gsl]))
 
 
 UNREACHABLE = -1
+
+
+def _check_weights(snapshot: GraphSnapshot) -> None:
+    """A NaN weight never compares equal and a negative cycle never
+    settles: reject either, naming the edge."""
+    bad = np.flatnonzero(~(snapshot.weight >= 0))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"edge {i} ({snapshot.src[i]} -> {snapshot.dst[i]}) has "
+                         f"weight {snapshot.weight[i]}; weights must be >= 0")
 
 
 def spf_tables(snapshot: GraphSnapshot,
                destinations: list[int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Next-hop table and path cost toward each destination.
 
-    Runs Dijkstra from the destination over reversed edges, then picks each
-    node's next hop as the out-neighbor minimizing edge weight + remaining
-    cost, breaking exact ties by the smallest neighbor id. Unreachable nodes
-    get next hop UNREACHABLE and infinite cost.
+    One min-plus (Bellman-Ford) relaxation serves all destinations at once:
+    each pass lowers every node's cost to the least ``weight + cost[dst]``
+    over its out-edges, until no cost falls. A node's next hop is the
+    out-neighbor attaining its cost, breaking exact ties by the smallest
+    neighbor id. Destinations and unreachable nodes get next hop
+    UNREACHABLE; unreachable nodes get infinite cost. Out-edges sit in a
+    (max out-degree, node) table padded with edges to a phantom node of
+    infinite cost, so a pass is one gather and one min over the table.
+
+    Raises ValueError, naming the edge, when a weight is NaN or negative,
+    and when the relaxation has not settled after ``num_nodes`` passes.
     """
-    radj = snapshot.reverse_adjacency()
-    adj = snapshot.adjacency()
-    out = {}
-    for dest in destinations:
-        dist = np.full(snapshot.num_nodes, np.inf)
-        dist[dest] = 0.0
-        heap = [(0.0, dest)]
-        done = np.zeros(snapshot.num_nodes, dtype=bool)
-        while heap:
-            d, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            for v, w in radj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        nxt = np.full(snapshot.num_nodes, UNREACHABLE, dtype=np.int64)
-        for u in range(snapshot.num_nodes):
-            if u == dest or not np.isfinite(dist[u]):
-                continue
-            best = None
-            for v, w in adj[u]:
-                if not np.isfinite(dist[v]):
-                    continue
-                cost = w + dist[v]
-                if best is None or cost < best[0] or (cost == best[0] and v < best[1]):
-                    best = (cost, v)
-            if best is not None:
-                nxt[u] = best[1]
-        out[dest] = (nxt, dist)
-    return out
+    _check_weights(snapshot)
+    n = snapshot.num_nodes
+    order = np.argsort(snapshot.src)
+    src = snapshot.src[order]
+    slot = np.arange(len(src)) - np.searchsorted(src, src)  # rank among src's edges
+    to = np.full((slot.max(initial=-1) + 1, n), n)
+    to[slot, src] = snapshot.dst[order]
+    w = np.full(to.shape, np.inf)
+    w[slot, src] = snapshot.weight[order]
+    dests = np.asarray(destinations, dtype=np.int64)
+    rows = np.arange(len(dests))
+    dist = np.full((len(dests), n + 1), np.inf)
+    dist[rows, dests] = 0.0
+    cost = dist[:, :n]                      # a view; the phantom stays infinite
+    for _ in range(n):
+        via = w + np.take(dist, to, axis=1)
+        best = via.min(axis=1, initial=np.inf)
+        if not (best < cost).any():
+            break                           # via is from the settled costs
+        np.minimum(cost, best, out=cost)
+    else:
+        raise ValueError(f"relaxation has not settled after {n} passes")
+    hop = np.where((via == cost[:, None, :]) & np.isfinite(via), to, n).min(axis=1, initial=n)
+    nxt = np.where(hop < n, hop, UNREACHABLE)
+    nxt[rows, dests] = UNREACHABLE
+    return {int(d): (nxt[g], cost[g]) for g, d in enumerate(dests)}
 
 
 class ActorPolicy:
@@ -167,28 +172,21 @@ class RandomRouter(Router):
 
 
 class SpfRouter(Router):
-    """Simulator-facing SPF baseline: next hop from shortest-path tables
-    toward every station, recomputed on each topology refresh."""
+    """Simulator-facing SPF baseline: shortest-path tables toward every
+    station, recomputed on each topology refresh and kept as one grid
+    direction per (station, satellite), -1 where the next hop is not one of
+    the four ISLs."""
 
     def __init__(self, ref_size_bits: int = 64_800):
         self.ref_size_bits = ref_size_bits
-        self.tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.neighbors: Optional[np.ndarray] = None
-        self.num_sats = 0
+        self.dirs: list[list[int]] = []
 
     def on_topology_refresh(self, sim: Simulator) -> None:
-        snap = build_snapshot(sim, self.ref_size_bits)
-        self.tables = spf_tables(snap, [sim.num_sats + g for g in range(sim.num_gs)])
-        self.neighbors = sim.neighbors
-        self.num_sats = sim.num_sats
+        stations = [sim.num_sats + g for g in range(sim.num_gs)]
+        tables = spf_tables(build_snapshot(sim, self.ref_size_bits), stations)
+        hops = np.array([tables[d][0][:sim.num_sats] for d in stations])
+        match = sim.neighbors == hops.reshape(len(stations), sim.num_sats, 1)
+        self.dirs = np.where(match.any(axis=2), match.argmax(axis=2), -1).tolist()
 
     def choose(self, packet: Packet, sat: int, now_ns: int) -> int:
-        nxt, _ = self.tables[self.num_sats + packet.dst_gs]
-        hop = int(nxt[sat])
-        if hop == UNREACHABLE:
-            return -1
-        nbrs = self.neighbors[sat]
-        for k in range(4):
-            if int(nbrs[k]) == hop:
-                return k
-        return -1                   # next hop is not one of the four ISLs
+        return self.dirs[packet.dst_gs][sat]

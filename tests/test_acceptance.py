@@ -152,7 +152,9 @@ def test_criterion_3_spf_floyd_warshall():
             for v in range(n):
                 if u != v and rng.random() < 0.12:
                     edges.append((u, v, float(rng.integers(1, 1000))))
-        snap = GraphSnapshot(n, edges)
+        e = np.array(edges).reshape(-1, 3)
+        snap = GraphSnapshot(n, e[:, 0].astype(np.int64), e[:, 1].astype(np.int64),
+                             e[:, 2])
         fw = np.full((n, n), np.inf)
         np.fill_diagonal(fw, 0.0)
         for u, v, w in edges:

@@ -36,3 +36,24 @@ def test_benchmark_hooks_install_and_restore(monkeypatch):
         layers.install(Tracer(p), [], [])     # KeyError on a missing name
         assert _namespaces() != before
     assert _namespaces() == before
+
+
+def test_spf_refresh_records_snapshot_and_table_spans(monkeypatch):
+    """A short desk SPF call under the hooks records one ``build_snapshot``
+    and one ``spf_tables`` span per topology refresh, so a refresh that
+    stops calling them through the module names cannot read 0 ms."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import workloads
+    from tracer import Patcher, Tracer
+
+    workload = workloads.WORKLOADS["desk-spf"]
+    sc = workload.scenario(0.5)
+    with Patcher() as p:
+        tr = Tracer(p)
+        layers.install(tr, [], [])
+        workload.call(sc, 1)
+    spans = tr.by_name()
+    refreshes = round(0.5 / sc.sim.refresh_interval_s) + 1
+    for name in ("routing.spf_refresh", "routing.build_snapshot", "routing.spf_tables"):
+        assert len(spans.get(name, ((),))[0]) == refreshes, name
