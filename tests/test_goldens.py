@@ -3,9 +3,10 @@
 Each test runs one short, seeded run and compares hex digests of its
 output with literal values: the sha256 of ``MetricsReport.to_json()`` and,
 for evaluation runs, the simulator's ``trace_digest()``; for training runs,
-a digest of every learned parameter block. Any change to event
-order, routing decisions, observations, RNG streams or float arithmetic
-shows up here within seconds.
+a digest of every learned parameter block and the sha256 of the
+diagnostics rows (losses, multipliers, temperature and entropy at each
+report). Any change to event order, routing decisions, observations, RNG
+streams or float arithmetic shows up here within seconds.
 
 The values hold for the numpy / OpenBLAS build these tests were pinned on
 (numpy 2.4, OpenBLAS 0.3.31, x86-64). Another BLAS or CPU kernel may change
@@ -14,6 +15,7 @@ purpose updates these values in a commit of its own, saying why.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,13 +58,19 @@ SCENARIO_GOLDENS = {
 }
 
 TRAIN_GOLDENS = {
-    # algo: (parameter digest, report sha256)
-    "primal-cvar": (
-        "ff990598d04c6cb1df8d842e2e29ec41bcc5096e717598a4cd8f7c1bc7fa6148",
-        "96c6e43eb6ddd1e0f7c7f0c333be5b23a05d495219409f9cb41a572726bc7887"),
+    # algo: (parameter digest, report sha256, diagnostics sha256)
     "madqn": (
-        "37c286fbd96ca5037c8462b69f143ac020b7845a6350f3aa1c9a318655386fb9",
-        "2419546c1013af0d7190369eda5abf840d2c7c7a01dcbeff23b610508fbab0c3"),
+        "7095dbf6a9b5211278b9cc6ecd8fac7f614d1e55005806036a642b97a0a1089c",
+        "01432e70e4a58f82ceb706b6a1f508ff14745d8298c7f5fbc7a6ec9f038777f1",
+        "4bb875414e445b1a26f72c1ba6fbf16517b804ed88458ebe10f8ad885e662525"),
+    "primal-avg": (
+        "d6736b8a8cd10fc1a7b4e3af23878ef99bbb4030967a5db8ad36077325780935",
+        "0fa378da2dce6414c1510b6876f692b58c19baf20e869f6962a49e9a754b77fb",
+        "0b1e95fd5e732c8d2dff38e4b12691f3abc28ed36420dada99bf788b8501ecce"),
+    "primal-cvar": (
+        "31b0b1e09ee2d33ecd2a564b62b2626ebb238c2b8e152ed6c0731558d7e33efa",
+        "0fa378da2dce6414c1510b6876f692b58c19baf20e869f6962a49e9a754b77fb",
+        "ec348ed6ef6d385022249e0c7ed0d7722bdc3d6441656fee68e80b514d379244"),
 }
 
 
@@ -140,8 +148,13 @@ def test_scenario_golden(name):
 
 @pytest.mark.parametrize("algo", sorted(TRAIN_GOLDENS))
 def test_train_golden(algo):
+    """Two epochs, so the collector is reset between them, with reports
+    every 0.1 s, so the diagnostics carry the learner's state over time."""
     base = desk_scenario()
-    sc = desk_scenario(run=replace(base.run, epoch_s=0.5, epochs=1))
+    sc = desk_scenario(run=replace(base.run, epoch_s=0.5, epochs=2,
+                                   report_interval_s=0.1))
     result = run_train(sc, algo, SEED)
-    got = (params_digest(result.learner.blocks()), _sha256(result.report.to_json()))
+    assert result.diagnostics and all("step" in row for row in result.diagnostics)
+    got = (params_digest(result.learner.blocks()), _sha256(result.report.to_json()),
+           _sha256(json.dumps(result.diagnostics, sort_keys=True)))
     assert got == TRAIN_GOLDENS[algo]
