@@ -77,15 +77,13 @@ class Featurizer:
         # in-plane and inter-plane grid spacings, as ground arc
         self.hop_scale = 2 * math.pi * self.earth_radius * max(
             1.0 / cfg.sats_per_plane, 1.0 / cfg.num_planes)
-        self.gcd = np.zeros((constellation.num_satellites, num_stations))
-        self.bearing_sin = np.zeros_like(self.gcd)
-        self.bearing_cos = np.zeros_like(self.gcd)
+        # per-refresh (S, G) tables as plain nested lists [sat][station],
+        # the form the per-decision path reads; zero until the first refresh
+        self.gcd: list[list[float]] = np.zeros(
+            (constellation.num_satellites, num_stations)).tolist()
+        self._bsin = self._bcos = self.gcd
         self.sim: Optional[Simulator] = None
-        # plain-python copies for the per-decision fast path
         self._nbr_list = constellation.neighbors.tolist()
-        self._gcd_list: list[list[float]] = []
-        self._bsin_list: list[list[float]] = []
-        self._bcos_list: list[list[float]] = []
 
     def refresh(self, sim: Simulator) -> None:
         """Recompute geometry tables from the simulator's position caches."""
@@ -93,7 +91,7 @@ class Featurizer:
         sat_u = sim.positions / np.linalg.norm(sim.positions, axis=1, keepdims=True)
         gs_u = sim.gs_positions / np.linalg.norm(sim.gs_positions, axis=1, keepdims=True)
         dots = np.clip(sat_u @ gs_u.T, -1.0, 1.0)          # (S, G)
-        self.gcd = self.earth_radius * np.arccos(dots)
+        self.gcd = (self.earth_radius * np.arccos(dots)).tolist()
         # local east/north at each sub-satellite point
         z = np.array([0.0, 0.0, 1.0])
         east = np.cross(np.broadcast_to(z, sat_u.shape), sat_u)
@@ -104,14 +102,13 @@ class Featurizer:
         d = gs_u[None, :, :] - sat_u[:, None, :] * dots[:, :, None]
         dn = np.linalg.norm(d, axis=2)
         d = d / np.maximum(dn, 1e-12)[:, :, None]
-        self.bearing_sin = np.einsum("sgk,sk->sg", d, east)
-        self.bearing_cos = np.einsum("sgk,sk->sg", d, north)
+        bsin = np.einsum("sgk,sk->sg", d, east)
+        bcos = np.einsum("sgk,sk->sg", d, north)
         at_target = dn < 1e-9          # over the station: direction undefined
-        self.bearing_sin[at_target] = 0.0
-        self.bearing_cos[at_target] = 0.0
-        self._gcd_list = self.gcd.tolist()
-        self._bsin_list = self.bearing_sin.tolist()
-        self._bcos_list = self.bearing_cos.tolist()
+        bsin[at_target] = 0.0
+        bcos[at_target] = 0.0
+        self._bsin = bsin.tolist()
+        self._bcos = bcos.tolist()
 
     def observe(self, packet: Packet, sat: int) -> np.ndarray:
         """Deterministic featurization of (packet, satellite) from local and
@@ -121,11 +118,11 @@ class Featurizer:
         if sim is None:
             raise SimulationError("featurizer has no simulator attached")
         g = packet.dst_gs
-        here = self._gcd_list[sat][g]
+        here = self.gcd[sat][g]
         cap = float(sim.cfg.link_buffer_bits)
         queues = sim.isl_queues
         nbrs = self._nbr_list[sat]
-        f = [self._bsin_list[sat][g], self._bcos_list[sat][g],
+        f = [self._bsin[sat][g], self._bcos[sat][g],
              here / (math.pi * self.earth_radius),
              0.0, 0.0, 0.0, 0.0,       # per-direction progress
              0.0, 0.0, 0.0, 0.0,       # per-direction queue occupancy
@@ -136,7 +133,7 @@ class Featurizer:
             nbr = nbrs[k]
             if nbr == sat:
                 continue               # degenerate self-link stays masked
-            d = (here - self._gcd_list[nbr][g]) / self.hop_scale
+            d = (here - self.gcd[nbr][g]) / self.hop_scale
             f[3 + k] = -1.0 if d < -1.0 else (1.0 if d > 1.0 else d)
             q = queues.get((sat, nbr))
             if q is not None:
@@ -160,14 +157,17 @@ class ObsRouter(Router):
         return self.policy.decide(self.featurizer.observe(packet, sat))
 
 
-class _Pending:
-    __slots__ = ("features", "action", "decision_ns", "gcd_m")
+class _InFlight:
+    """One in-flight packet's open decision (features, action, decision
+    time and distance to go at that decision) plus the queuing already
+    charged to its transitions and the progress reward collected so far."""
 
-    def __init__(self, features, action, decision_ns, gcd_m):
-        self.features = features
-        self.action = action
-        self.decision_ns = decision_ns
-        self.gcd_m = gcd_m
+    __slots__ = ("features", "action", "decision_ns", "gcd_m", "settled_ns",
+                 "progress")
+
+    def __init__(self):
+        self.settled_ns = 0
+        self.progress = 0.0
 
 
 class TransitionCollector(Router):
@@ -175,19 +175,20 @@ class TransitionCollector(Router):
     one learning transition per decision: (o, a, r, costs, o', done,
     sojourn). Terminal next-observations follow the all-zeros convention.
     Every queuing nanosecond a packet accumulates is charged to exactly one
-    transition."""
+    transition.
+
+    ``pending`` holds one record per packet from its first decision until
+    its terminal event. ``notify_step`` closes the packet's previous
+    decision and stores the new features, which the ``choose`` that the
+    simulator calls right after it reads."""
 
     def __init__(self, featurizer: Featurizer, policy, reward_cfg: RewardConfig,
-                 buffer, validate_obs: bool = False):
+                 buffer):
         self.featurizer = featurizer
         self.policy = policy
         self.reward_cfg = reward_cfg
         self.buffer = buffer
-        self.validate_obs = validate_obs
-        self.pending: dict[int, _Pending] = {}
-        self._settled_queue_ns: dict[int, int] = {}
-        self._sum_progress: dict[int, float] = {}
-        self._obs_cache: dict[int, np.ndarray] = {}
+        self.pending: dict[int, _InFlight] = {}
         self.decisions = 0
         self.transitions = 0
 
@@ -197,74 +198,58 @@ class TransitionCollector(Router):
 
     def notify_step(self, packet: Packet, sat: int, now_ns: int) -> None:
         obs = self.featurizer.observe(packet, sat)
-        if self.validate_obs and not np.all(np.isfinite(obs)):
-            raise SimulationError(f"non-finite observation for packet {packet.id}")
-        self._obs_cache[packet.id] = obs
-        p = self.pending.pop(packet.id, None)
-        if p is not None:
-            self._emit(packet, p, obs, now_ns, done=False,
-                       gcd_now=self.featurizer.gcd[sat, packet.dst_gs], bonus=0.0)
+        gcd_now = self.featurizer.gcd[sat][packet.dst_gs]
+        rec = self.pending.get(packet.id)
+        if rec is None:
+            rec = self.pending[packet.id] = _InFlight()
+        else:
+            self._emit(packet, rec, obs, now_ns, gcd_now, 0.0)
+        rec.features = obs
+        rec.decision_ns = now_ns
+        rec.gcd_m = gcd_now
 
     def choose(self, packet: Packet, sat: int, now_ns: int) -> int:
-        obs = self._obs_cache.pop(packet.id, None)
-        if obs is None:
-            obs = self.featurizer.observe(packet, sat)
-        action = self.policy.decide(obs)
+        rec = self.pending[packet.id]
+        rec.action = self.policy.decide(rec.features)
         self.decisions += 1
-        self.pending[packet.id] = _Pending(
-            obs, action, now_ns,
-            float(self.featurizer.gcd[sat, packet.dst_gs]))
-        return action
+        return rec.action
 
     def notify_terminal(self, packet: Packet, node: Optional[int], now_ns: int,
                         delivered: bool) -> None:
-        p = self.pending.pop(packet.id, None)
-        if p is None:
-            self._cleanup(packet.id)
+        rec = self.pending.pop(packet.id, None)
+        if rec is None:
             return
         cfg = self.reward_cfg
         if delivered:
-            gcd_now = 0.0
-            bonus = delivered_bonus(packet.size_bits, cfg)
-            self._emit(packet, p, None, now_ns, done=True, gcd_now=gcd_now,
-                       bonus=bonus)
+            self._emit(packet, rec, None, now_ns, 0.0,
+                       delivered_bonus(packet.size_bits, cfg))
         else:
-            gcd_now = (self.featurizer.gcd[node, packet.dst_gs]
-                       if node is not None else p.gcd_m)
-            progress = (p.gcd_m - gcd_now) * cfg.progress_scale
-            total_progress = self._sum_progress.get(packet.id, 0.0) + progress
-            bonus = dropped_penalty(packet.ttl, total_progress, cfg)
-            self._emit(packet, p, None, now_ns, done=True, gcd_now=gcd_now,
-                       bonus=bonus)
-        self._cleanup(packet.id)
+            gcd_now = (self.featurizer.gcd[node][packet.dst_gs]
+                       if node is not None else rec.gcd_m)
+            progress = (rec.gcd_m - gcd_now) * cfg.progress_scale
+            self._emit(packet, rec, None, now_ns, gcd_now,
+                       dropped_penalty(packet.ttl, rec.progress + progress, cfg))
 
     # -- assembly ------------------------------------------------------------
-    def _emit(self, packet: Packet, p: _Pending, next_features, now_ns: int,
-              done: bool, gcd_now: float, bonus: float) -> None:
+    def _emit(self, packet: Packet, rec: _InFlight, next_features, now_ns: int,
+              gcd_now: float, bonus: float) -> None:
+        """Close the open decision of ``rec``: a terminal transition when
+        ``next_features`` is None."""
         cfg = self.reward_cfg
-        settled = self._settled_queue_ns.get(packet.id, 0)
-        dq_ns = packet.cum_queue_ns - settled
-        self._settled_queue_ns[packet.id] = packet.cum_queue_ns
-        cost = hop_cost(dq_ns / NS_PER_S, cfg)
-        tau = (now_ns - p.decision_ns) / NS_PER_S
-        progress = (p.gcd_m - gcd_now) * cfg.progress_scale
-        self._sum_progress[packet.id] = self._sum_progress.get(packet.id, 0.0) + progress
+        cost = hop_cost((packet.cum_queue_ns - rec.settled_ns) / NS_PER_S, cfg)
+        rec.settled_ns = packet.cum_queue_ns
+        tau = (now_ns - rec.decision_ns) / NS_PER_S
+        progress = (rec.gcd_m - gcd_now) * cfg.progress_scale
+        rec.progress += progress
         r = hop_reward(tau, cost, progress, bonus, cfg)
-        o2 = next_features if next_features is not None else np.zeros(OBS_DIM)
-        self.buffer.add(p.features, p.action, r, [cost], o2, done, tau)
+        done = next_features is None
+        o2 = np.zeros(OBS_DIM) if done else next_features
+        self.buffer.add(rec.features, rec.action, r, [cost], o2, done, tau)
         self.transitions += 1
-
-    def _cleanup(self, pid: int) -> None:
-        self._settled_queue_ns.pop(pid, None)
-        self._sum_progress.pop(pid, None)
-        self._obs_cache.pop(pid, None)
 
     def reset_pending(self) -> int:
         """Discard unresolved decisions (e.g. packets still in flight at an
         epoch cutoff); returns how many were discarded."""
         n = len(self.pending)
         self.pending.clear()
-        self._settled_queue_ns.clear()
-        self._sum_progress.clear()
-        self._obs_cache.clear()
         return n

@@ -203,16 +203,15 @@ class PrimalLearner:
         return logits, cache, probs
 
     # -- reward critic -------------------------------------------------------
-    def td_target_reward(self, batch: Batch, pi2: Optional[np.ndarray] = None) -> np.ndarray:
+    def td_target_reward(self, batch: Batch, pi2: np.ndarray) -> np.ndarray:
         """Soft TD target: r + gamma_r * pi(o')^T (Q_target(o') - alpha log pi(o')),
-        with the bootstrap term removed on terminal transitions."""
-        if pi2 is None:
-            _, _, pi2 = self._policy(batch.o2)
+        with the bootstrap term removed on terminal transitions; ``pi2`` is
+        the policy on ``batch.o2``."""
         q2, _ = nn.mlp_forward(self.reward_target, batch.o2)
         soft_v = (pi2 * (q2 - self.lagrange.alpha * _log_probs(pi2))).sum(axis=1)
         return batch.r + self.cfg.gamma_r * (1.0 - batch.done) * soft_v
 
-    def critic_update_reward(self, batch: Batch, pi2: Optional[np.ndarray] = None) -> float:
+    def critic_update_reward(self, batch: Batch, pi2: np.ndarray) -> float:
         y = self.td_target_reward(batch, pi2)
         q, cache = nn.mlp_forward(self.reward_critic, batch.o)
         err = _take_action(q, batch.a) - y
@@ -223,16 +222,12 @@ class PrimalLearner:
         return float(0.5 * np.mean(err * err))
 
     # -- expected-cost critics --------------------------------------------------
-    def td_target_cost_avg(self, batch: Batch, k: int,
-                           pi2: Optional[np.ndarray] = None) -> np.ndarray:
-        if pi2 is None:
-            _, _, pi2 = self._policy(batch.o2)
+    def td_target_cost_avg(self, batch: Batch, k: int, pi2: np.ndarray) -> np.ndarray:
         q2, _ = nn.mlp_forward(self.cost_avg_target[k], batch.o2)
         v = (pi2 * q2).sum(axis=1)
         return batch.c[:, k] + self.cfg.gamma_c * (1.0 - batch.done) * v
 
-    def critic_update_cost_avg(self, batch: Batch,
-                               pi2: Optional[np.ndarray] = None) -> float:
+    def critic_update_cost_avg(self, batch: Batch, pi2: np.ndarray) -> float:
         self.ops["cost_avg"] += 1
         total = 0.0
         for k in range(self.lagrange.num_constraints):
@@ -249,13 +244,10 @@ class PrimalLearner:
 
     # -- quantile cost critics -----------------------------------------------------
     def quantile_td_errors(self, batch: Batch, zetas: np.ndarray,
-                           zetas_t: np.ndarray, k: int,
-                           pi2: Optional[np.ndarray] = None):
+                           zetas_t: np.ndarray, k: int, pi2: np.ndarray):
         """Pairwise distributional TD errors, shape (B, N, N'). Returns the
         errors together with the online forward cache for the gradient step."""
         self.ops["quantile"] += 1
-        if pi2 is None:
-            _, _, pi2 = self._policy(batch.o2)
         qt, _ = nn.quantile_forward(self.cost_quant_target[k], batch.o2, zetas_t)
         v2 = np.einsum("bna,ba->bn", qt, pi2)                     # (B, N')
         y = batch.c[:, k, None] + self.cfg.gamma_c * (1.0 - batch.done)[:, None] * v2
@@ -264,8 +256,7 @@ class PrimalLearner:
         delta = y[:, None, :] - q_sel[:, :, None]
         return delta, cache, q_on
 
-    def critic_update_cost_quantile(self, batch: Batch,
-                                    pi2: Optional[np.ndarray] = None) -> float:
+    def critic_update_cost_quantile(self, batch: Batch, pi2: np.ndarray) -> float:
         total = 0.0
         B = len(batch.a)
         for k in range(self.lagrange.num_constraints):
@@ -324,10 +315,10 @@ class PrimalLearner:
         return self._actor_step(batch, penalty)
 
     # -- multipliers and temperature ------------------------------------------------------
-    def multiplier_update_avg(self, batch: Batch) -> np.ndarray:
+    def multiplier_update_avg(self, batch: Batch, pi: np.ndarray) -> np.ndarray:
         """Dual ascent: lambda_k rises while the policy's expected cost
-        exceeds the threshold, then projects back to >= 0."""
-        _, _, pi = self._policy(batch.o)
+        exceeds the threshold, then projects back to >= 0; ``pi`` is the
+        policy on ``batch.o``."""
         lam = self.lagrange.lam
         for k in range(self.lagrange.num_constraints):
             qc, _ = nn.mlp_forward(self.cost_avg[k], batch.o)
@@ -336,10 +327,9 @@ class PrimalLearner:
                          (j - self.lagrange.thresholds[k]))
         return lam
 
-    def multiplier_update_cvar(self, batch: Batch, tails: list[np.ndarray]) -> np.ndarray:
+    def multiplier_update_cvar(self, pi: np.ndarray, tails: list[np.ndarray]) -> np.ndarray:
         """Dual ascent on the policy's expected tail cost, from the same
         per-action tail estimates the actor step used."""
-        _, _, pi = self._policy(batch.o)
         lam = self.lagrange.lam
         for k in range(self.lagrange.num_constraints):
             j = float((pi * tails[k]).sum(axis=1).mean())
@@ -347,11 +337,10 @@ class PrimalLearner:
                          (j - self.lagrange.thresholds[k]))
         return lam
 
-    def temperature_update(self, batch: Batch) -> tuple[float, float]:
+    def temperature_update(self, pi: np.ndarray) -> tuple[float, float]:
         """Gradient descent on alpha * (H(pi) - H_target), projected to >= 0:
         the temperature falls while entropy sits above target and rises when
         the policy over-commits. Returns the new alpha and the entropy."""
-        _, _, pi = self._policy(batch.o)
         h = float(nn.entropy(pi).mean())
         self.lagrange.alpha = max(
             0.0, self.lagrange.alpha - self.cfg.lr_alpha *
@@ -381,7 +370,6 @@ class PrimalLearner:
         if self.cfg.mode == MODE_AVG:
             loss_c = self.critic_update_cost_avg(batch, pi2)
             loss_a = self.actor_update_avg(batch)
-            self.multiplier_update_avg(batch)
         else:
             loss_c = self.critic_update_cost_quantile(batch, pi2)
             # the cost critic is fixed from here on, so one tail estimate per
@@ -389,8 +377,14 @@ class PrimalLearner:
             tails = [self.cvar_estimate(batch.o, k)
                      for k in range(self.lagrange.num_constraints)]
             loss_a = self.actor_update_cvar(batch, tails)
-            self.multiplier_update_cvar(batch, tails)
-        alpha, entropy = self.temperature_update(batch)
+        # the actor is fixed from here on, so one policy on batch.o serves
+        # both the multiplier and the temperature step
+        _, _, pi = self._policy(batch.o)
+        if self.cfg.mode == MODE_AVG:
+            self.multiplier_update_avg(batch, pi)
+        else:
+            self.multiplier_update_cvar(pi, tails)
+        alpha, entropy = self.temperature_update(pi)
         self.soft_update_targets()
         self.steps += 1
         return _checked({

@@ -224,7 +224,9 @@ class SimConfig:
 class Router:
     """Decision interface the simulator drives. ``choose`` must return an
     action in 0..3 (N, S, W, E) or -1 when it has no route. The notify hooks
-    let learning components observe packet outcomes; defaults are no-ops."""
+    let learning components observe packet outcomes; defaults are no-ops.
+    The simulator calls ``notify_step`` immediately before each ``choose``,
+    with the same arguments, and a learning router may rely on that."""
 
     def choose(self, packet: Packet, sat: int, now_ns: int) -> int:
         raise NotImplementedError

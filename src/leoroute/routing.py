@@ -108,7 +108,7 @@ def spf_tables(snapshot: GraphSnapshot,
     dist = np.full((len(dests), n + 1), np.inf)
     dist[rows, dests] = 0.0
     cost = dist[:, :n]                      # a view; the phantom stays infinite
-    for _ in range(n):
+    for _ in range(max(n, 1)):               # an empty graph settles in one pass
         via = w + np.take(dist, to, axis=1)
         best = via.min(axis=1, initial=np.inf)
         if not (best < cost).any():

@@ -220,8 +220,10 @@ def test_criterion_4_gradient_suite():
                   tau=np.abs(rng.normal(size=B)) + 1e-3)
     errs = {}
 
+    _, _, pi2 = lr._policy(batch.o2)
+
     # reward critic loss L_phi
-    y = lr.td_target_reward(batch)
+    y = lr.td_target_reward(batch, pi2)
 
     def loss_phi():
         q, _ = nn.mlp_forward(lr.reward_critic, batch.o)
@@ -236,7 +238,7 @@ def test_criterion_4_gradient_suite():
                                  _fd_grad(loss_phi, lr.reward_critic))
 
     # expected-cost critic loss L_psi (avg)
-    yc = lr.td_target_cost_avg(batch, 0)
+    yc = lr.td_target_cost_avg(batch, 0, pi2)
 
     def loss_psi_avg():
         qc, _ = nn.mlp_forward(lr.cost_avg[0], batch.o)
@@ -253,7 +255,6 @@ def test_criterion_4_gradient_suite():
     # quantile-Huber cost critic loss L_psi (distributional)
     zetas = rng.random((B, 3))
     zetas_t = rng.random((B, 3))
-    _, _, pi2 = lr._policy(batch.o2)
     qt, _ = nn.quantile_forward(lr.cost_quant_target[0], batch.o2, zetas_t)
     v2 = np.einsum("bna,ba->bn", qt, pi2)
     yq = batch.c[:, 0, None] + cfg.gamma_c * (1.0 - batch.done)[:, None] * v2

@@ -37,15 +37,15 @@ def uniform_policy(seed):
                                epsilon=1.0, seed=seed)
 
 
-def build_setup(rate=150.0, epoch=2.0, seed=0, ttl=24, collector=True):
+def build_setup(rate=150.0, epoch=2.0, seed=0, ttl=24, collector=True,
+                buffer_bits=SimConfig.link_buffer_bits):
     c = build_walker(WalkerConfig(12, 8, 600e3, 53.0, 1))
     traffic = TrafficConfig(rate, seed=seed)
     feat = Featurizer(c, len(CITIES), ttl, traffic.max_size_bits)
     buf = ReplayBuffer(100_000, OBS_DIM, seed=seed)
-    router = TransitionCollector(feat, uniform_policy(seed), CFG, buf,
-                                 validate_obs=True)
-    sim = Simulator(c, CITIES, SimConfig(ttl_hops=ttl), traffic, router,
-                    epoch_s=epoch)
+    router = TransitionCollector(feat, uniform_policy(seed), CFG, buf)
+    sim = Simulator(c, CITIES, SimConfig(ttl_hops=ttl, link_buffer_bits=buffer_bits),
+                    traffic, router, epoch_s=epoch)
     return sim, router, buf, feat
 
 
@@ -136,27 +136,30 @@ def test_transitions_match_decisions_no_leaks():
 
 def test_cost_identity_sums_to_total_queuing():
     """Sum of per-transition costs times the normalizer equals the packet's
-    cumulative queuing delay, exactly in integer nanoseconds."""
-    sim, router, buf, _ = build_setup(rate=250.0, epoch=2.0, seed=2)
-    per_packet_cost: dict[int, float] = {}
-    done_packets = {}
+    cumulative queuing delay, exactly in integer nanoseconds, for every
+    packet with a decision: delivered, or dropped on TTL expiry or on a full
+    one-packet link buffer."""
+    outcomes = set()
+    for kw in (dict(rate=250.0), dict(rate=400.0, ttl=6, buffer_bits=64_800)):
+        sim, router, buf, _ = build_setup(epoch=2.0, seed=2, **kw)
+        per_packet_cost: dict[int, float] = {}
+        done_packets = {}
 
-    class Tap(TransitionCollector):
-        def _emit(self, packet, p, next_features, now_ns, done, gcd_now, bonus):
-            super()._emit(packet, p, next_features, now_ns, done, gcd_now, bonus)
-            per_packet_cost[packet.id] = per_packet_cost.get(packet.id, 0.0) + \
-                buf.c[(buf.head - 1) % buf.capacity][0]
-            if done:
-                done_packets[packet.id] = packet
+        class Tap(TransitionCollector):
+            def _emit(self, packet, rec, next_features, now_ns, gcd_now, bonus):
+                super()._emit(packet, rec, next_features, now_ns, gcd_now, bonus)
+                per_packet_cost[packet.id] = per_packet_cost.get(packet.id, 0.0) + \
+                    buf.c[(buf.head - 1) % buf.capacity][0]
+                if next_features is None:
+                    done_packets[packet.id] = packet
 
-    router.__class__ = Tap
-    sim.run()
-    assert done_packets
-    for pid, pkt in done_packets.items():
-        if pkt.status != "delivered":
-            continue
-        want = pkt.cum_queue_ns / NS_PER_S / CFG.delay_norm_s
-        assert per_packet_cost[pid] == pytest.approx(want, rel=1e-12, abs=1e-15)
+        router.__class__ = Tap
+        sim.run()
+        for pid, pkt in done_packets.items():
+            outcomes.add(pkt.drop_cause or pkt.status)
+            want = pkt.cum_queue_ns / NS_PER_S / CFG.delay_norm_s
+            assert per_packet_cost[pid] == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert outcomes == {"delivered", "ttl_expired", "buffer_full"}
 
 
 def test_terminal_transitions_have_zero_next_obs():
@@ -231,7 +234,7 @@ def test_buffer_drop_penalty_scales_with_remaining_ttl():
 
 def test_observations_finite_over_full_epoch():
     sim, router, buf, _ = build_setup(rate=200.0, epoch=2.0, seed=6)
-    sim.run()   # validate_obs=True raises on any non-finite feature
+    sim.run()
     n = len(buf)
     assert np.all(np.isfinite(buf.o[:n])) and np.all(np.isfinite(buf.o2[:n]))
     assert np.all(np.isfinite(buf.r[:n])) and np.all(np.isfinite(buf.c[:n]))
@@ -259,5 +262,6 @@ def test_reset_pending_between_epochs():
     sim, router, buf, _ = build_setup(rate=200.0, epoch=1.0, seed=9)
     sim.run()
     n = len(router.pending)
+    assert n > 0   # packets still in flight at the cutoff
     assert router.reset_pending() == n
-    assert not router.pending and not router._settled_queue_ns
+    assert not router.pending

@@ -45,6 +45,11 @@ def fill_buffer(buffer, rng, n=200):
                    bool(b.done[0]), float(b.tau[0]))
 
 
+def policy(lr, obs):
+    """The learner's current action probabilities on ``obs``."""
+    return lr._policy(obs)[2]
+
+
 # -- replay buffer --------------------------------------------------------------
 
 def test_buffer_ring_overwrites_oldest():
@@ -71,7 +76,7 @@ def test_td_target_reward_gamma_zero():
     lr = PrimalLearner(ARCH, small_cfg(gamma_r=1e-12), seed=0)
     rng = np.random.default_rng(2)
     batch = random_batch(rng)
-    y = lr.td_target_reward(batch)
+    y = lr.td_target_reward(batch, policy(lr, batch.o2))
     assert np.allclose(y, batch.r, atol=1e-9)
 
 
@@ -79,7 +84,7 @@ def test_td_target_reward_done_no_bootstrap():
     lr = PrimalLearner(ARCH, small_cfg(), seed=0)
     rng = np.random.default_rng(3)
     batch = random_batch(rng, done_frac=1.0)
-    assert np.array_equal(lr.td_target_reward(batch), batch.r)
+    assert np.array_equal(lr.td_target_reward(batch, policy(lr, batch.o2)), batch.r)
 
 
 def test_td_target_reward_hand_case():
@@ -93,7 +98,7 @@ def test_td_target_reward_hand_case():
     lr.reward_target["b2"][...] = 2.0     # Q'(o', a) = 2 for every action
     rng = np.random.default_rng(4)
     batch = random_batch(rng, done_frac=0.0)
-    y = lr.td_target_reward(batch)
+    y = lr.td_target_reward(batch, policy(lr, batch.o2))
     want = batch.r + lr.cfg.gamma_r * (2.0 - 0.5 * math.log(0.25))
     assert np.allclose(y, want, rtol=1e-12)
 
@@ -107,7 +112,7 @@ def test_td_target_cost_avg_mirrors_reward_without_entropy():
     lr.cost_avg_target[0]["b2"][...] = 3.0
     rng = np.random.default_rng(5)
     batch = random_batch(rng, done_frac=0.0)
-    y = lr.td_target_cost_avg(batch, 0)
+    y = lr.td_target_cost_avg(batch, 0, policy(lr, batch.o2))
     assert np.allclose(y, batch.c[:, 0] + lr.cfg.gamma_c * 3.0, rtol=1e-12)
 
 
@@ -117,12 +122,13 @@ def test_critic_update_reward_zero_error_zero_gradient():
     lr = PrimalLearner(ARCH, small_cfg(), seed=0)
     rng = np.random.default_rng(6)
     batch = random_batch(rng)
-    y = lr.td_target_reward(batch)
+    pi2 = policy(lr, batch.o2)
+    y = lr.td_target_reward(batch, pi2)
     # overwrite the critic so Q(o, a) == y by construction is impossible for
     # a generic net; instead verify that loss is non-negative and decreases
-    before = lr.critic_update_reward(batch)
+    before = lr.critic_update_reward(batch, pi2)
     for _ in range(50):
-        after = lr.critic_update_reward(batch)
+        after = lr.critic_update_reward(batch, pi2)
     assert before >= 0 and after >= 0
     assert after < before
 
@@ -149,7 +155,7 @@ def test_reward_critic_gradient_finite_difference():
     lr = PrimalLearner(ARCH, small_cfg(batch_size=6), seed=1)
     rng = np.random.default_rng(7)
     batch = random_batch(rng, b=6)
-    y = lr.td_target_reward(batch)
+    y = lr.td_target_reward(batch, policy(lr, batch.o2))
     params = lr.reward_critic
 
     def loss_fn():
@@ -239,7 +245,8 @@ def test_multiplier_unchanged_at_threshold():
     lr = _constant_cost_learner(cost_value=0.1)   # equals default threshold
     rng = np.random.default_rng(10)
     lam0 = lr.lagrange.lam[0]
-    lr.multiplier_update_avg(random_batch(rng))
+    batch = random_batch(rng)
+    lr.multiplier_update_avg(batch, policy(lr, batch.o))
     assert lr.lagrange.lam[0] == pytest.approx(lam0, abs=1e-15)
 
 
@@ -247,7 +254,8 @@ def test_multiplier_increases_when_cost_exceeds_threshold():
     lr = _constant_cost_learner(cost_value=1.0)
     rng = np.random.default_rng(11)
     lam0 = lr.lagrange.lam[0]
-    lr.multiplier_update_avg(random_batch(rng))
+    batch = random_batch(rng)
+    lr.multiplier_update_avg(batch, policy(lr, batch.o))
     assert lr.lagrange.lam[0] > lam0
 
 
@@ -255,7 +263,8 @@ def test_multiplier_projection_at_zero():
     lr = _constant_cost_learner(cost_value=0.0)
     lr.lagrange.lam[0] = 0.0
     rng = np.random.default_rng(12)
-    lr.multiplier_update_avg(random_batch(rng))
+    batch = random_batch(rng)
+    lr.multiplier_update_avg(batch, policy(lr, batch.o))
     assert lr.lagrange.lam[0] == 0.0
 
 
@@ -265,11 +274,11 @@ def test_temperature_fixed_point_and_signs():
     batch = random_batch(rng)
     # near-uniform policy: entropy far above target, alpha decreases
     a0 = lr.lagrange.alpha
-    lr.temperature_update(batch)
+    lr.temperature_update(policy(lr, batch.o))
     assert lr.lagrange.alpha < a0
     # projection at zero
     lr.lagrange.alpha = 0.0
-    lr.temperature_update(batch)
+    lr.temperature_update(policy(lr, batch.o))
     assert lr.lagrange.alpha == 0.0
 
 
@@ -305,7 +314,7 @@ def test_quantile_td_errors_shapes_and_gamma_zero():
     batch = random_batch(rng, b=6)
     zetas = rng.random((6, 4))
     zetas_t = rng.random((6, 5))
-    delta, _, _ = lr.quantile_td_errors(batch, zetas, zetas_t, 0)
+    delta, _, _ = lr.quantile_td_errors(batch, zetas, zetas_t, 0, policy(lr, batch.o2))
     assert delta.shape == (6, 4, 5)
     # with gamma ~ 0 the error is c - Q(o, a, zeta_i), independent of j
     assert np.allclose(delta, delta[:, :, :1], atol=1e-9)
@@ -324,7 +333,7 @@ def test_quantile_critic_fixed_point_delta_zero():
     batch = batch._replace(c=np.full((6, 1), q_const * (1 - lr.cfg.gamma_c)))
     zetas = rng.random((6, 4))
     zetas_t = rng.random((6, 4))
-    delta, _, _ = lr.quantile_td_errors(batch, zetas, zetas_t, 0)
+    delta, _, _ = lr.quantile_td_errors(batch, zetas, zetas_t, 0, policy(lr, batch.o2))
     assert np.allclose(delta, 0.0, atol=1e-12)
 
 
@@ -437,6 +446,20 @@ def test_train_step_branch_isolation():
         assert nn.params_max_abs_diff(now_t, other_target) == 0.0
 
 
+@pytest.mark.parametrize("mode", ["avg", "cvar"])
+def test_train_step_runs_three_actor_forwards(mode, monkeypatch):
+    # on o' for the critic targets, on o in the actor step, and once on o
+    # after it for both the multiplier and the temperature step
+    lr = PrimalLearner(ARCH, small_cfg(mode=mode), seed=14)
+    buf = ReplayBuffer(500, 5, seed=2)
+    fill_buffer(buf, np.random.default_rng(20), n=64)
+    calls = []
+    forward = lr._policy
+    monkeypatch.setattr(lr, "_policy", lambda obs: calls.append(obs) or forward(obs))
+    assert lr.train_step(buf) is not None
+    assert len(calls) == 3
+
+
 def test_train_step_multipliers_stay_nonnegative():
     rng = np.random.default_rng(21)
     lr = PrimalLearner(ARCH, small_cfg(mode="cvar"), seed=15)
@@ -459,25 +482,33 @@ def test_train_step_deterministic():
     assert run() == run()
 
 
-def _buffer_with_one_nan_reward(seed):
+def _buffer_with_one_nan(seed, field):
+    """A filled buffer whose row 17 holds a NaN reward or a NaN
+    observation feature."""
     buf = ReplayBuffer(500, 5, seed=seed)
     fill_buffer(buf, np.random.default_rng(seed), n=64)
-    buf.r[17] = np.nan
+    if field == "reward":
+        buf.r[17] = np.nan
+    else:
+        buf.o[17, 0] = np.nan
     return buf
 
 
-@pytest.mark.parametrize("mode", ["avg", "cvar"])
-def test_train_step_nan_reward_raises(mode):
+@pytest.mark.parametrize("mode, field", [("avg", "reward"), ("cvar", "reward"),
+                                         ("avg", "obs"), ("cvar", "obs")],
+                         ids=["avg", "cvar", "avg-obs", "cvar-obs"])
+def test_train_step_nan_reward_raises(mode, field):
     lr = PrimalLearner(ARCH, small_cfg(mode=mode), seed=23)
-    buf = _buffer_with_one_nan_reward(7)
+    buf = _buffer_with_one_nan(7, field)
     with pytest.raises(SimulationError, match=r"train step \d+: loss_reward is nan"):
         for _ in range(50):   # until a batch draws the NaN row
             lr.train_step(buf)
 
 
-def test_madqn_train_step_nan_reward_raises():
+@pytest.mark.parametrize("field", ["reward", "obs"])
+def test_madqn_train_step_nan_reward_raises(field):
     lr = MadqnLearner(ARCH, small_cfg(), seed=24)
-    buf = _buffer_with_one_nan_reward(8)
+    buf = _buffer_with_one_nan(8, field)
     with pytest.raises(SimulationError, match=r"train step \d+: loss_q is nan"):
         for _ in range(50):
             lr.train_step(buf)

@@ -222,6 +222,11 @@ def test_spf_settles_within_num_nodes_passes(monkeypatch):
         spf_tables(cycle, [0])
 
 
+def test_spf_empty_graph_has_no_tables():
+    # zero nodes and no destinations: one pass finds nothing to lower
+    assert spf_tables(snapshot(0, []), []) == {}
+
+
 def test_decide_random_policy_uniform():
     # the random walk, and an epsilon-greedy policy that always explores
     arch = nn.Architecture(input_dim=4, hidden_dim=8, n_actions=4)
