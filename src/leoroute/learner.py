@@ -287,9 +287,15 @@ class PrimalLearner:
         return q.mean(axis=1)
 
     # -- actor ------------------------------------------------------------------------
-    def _actor_step(self, batch: Batch, penalty: np.ndarray) -> float:
-        """Shared actor update: minimize E[pi^T (alpha log pi - Q_r + penalty)]
-        with critic outputs treated as constants."""
+    def actor_update(self, batch: Batch, estimates: list[np.ndarray]) -> float:
+        """Minimize E[pi^T (alpha log pi - Q_r + sum_k lambda_k estimates[k])]
+        with critic outputs treated as constants. ``estimates[k]`` is the
+        (B, A) per-action cost estimate of constraint k on ``batch.o``: the
+        expected-cost critic in PRIMAL-Avg, ``cvar_estimate`` in
+        PRIMAL-CVaR."""
+        penalty = np.zeros((len(batch.a), self.arch.n_actions))
+        for k, est in enumerate(estimates):
+            penalty += self.lagrange.lam[k] * est
         logits, cache, pi = self._policy(batch.o)
         qr, _ = nn.mlp_forward(self.reward_critic, batch.o)
         g = self.lagrange.alpha * _log_probs(pi) - qr + penalty
@@ -299,43 +305,18 @@ class PrimalLearner:
         nn.adam_step(self.actor, grads, self.opt_actor, self.cfg.lr_actor)
         return float(per_sample.mean())
 
-    def actor_update_avg(self, batch: Batch) -> float:
-        penalty = np.zeros((len(batch.a), self.arch.n_actions))
-        for k in range(self.lagrange.num_constraints):
-            qc, _ = nn.mlp_forward(self.cost_avg[k], batch.o)
-            penalty += self.lagrange.lam[k] * qc
-        return self._actor_step(batch, penalty)
-
-    def actor_update_cvar(self, batch: Batch, tails: list[np.ndarray]) -> float:
-        """Actor step penalized by the per-action tail estimates ``tails[k]``
-        of ``cvar_estimate(batch.o, k)``."""
-        penalty = np.zeros((len(batch.a), self.arch.n_actions))
-        for k in range(self.lagrange.num_constraints):
-            penalty += self.lagrange.lam[k] * tails[k]
-        return self._actor_step(batch, penalty)
-
     # -- multipliers and temperature ------------------------------------------------------
-    def multiplier_update_avg(self, batch: Batch, pi: np.ndarray) -> np.ndarray:
-        """Dual ascent: lambda_k rises while the policy's expected cost
-        exceeds the threshold, then projects back to >= 0; ``pi`` is the
-        policy on ``batch.o``."""
+    def multiplier_update(self, pi: np.ndarray, estimates: list[np.ndarray]) -> np.ndarray:
+        """Dual ascent: lambda_k rises while the policy's estimated cost
+        J_k = E[pi^T estimates[k]] exceeds its threshold, then projects back
+        to >= 0. ``pi`` is the policy on the batch and ``estimates`` the
+        ones the actor step used. Returns J per constraint."""
         lam = self.lagrange.lam
-        for k in range(self.lagrange.num_constraints):
-            qc, _ = nn.mlp_forward(self.cost_avg[k], batch.o)
-            j = float((pi * qc).sum(axis=1).mean())
+        j = np.array([float((pi * est).sum(axis=1).mean()) for est in estimates])
+        for k in range(len(estimates)):
             lam[k] = max(0.0, lam[k] + self.cfg.lr_lambda *
-                         (j - self.lagrange.thresholds[k]))
-        return lam
-
-    def multiplier_update_cvar(self, pi: np.ndarray, tails: list[np.ndarray]) -> np.ndarray:
-        """Dual ascent on the policy's expected tail cost, from the same
-        per-action tail estimates the actor step used."""
-        lam = self.lagrange.lam
-        for k in range(self.lagrange.num_constraints):
-            j = float((pi * tails[k]).sum(axis=1).mean())
-            lam[k] = max(0.0, lam[k] + self.cfg.lr_lambda *
-                         (j - self.lagrange.thresholds[k]))
-        return lam
+                         (j[k] - self.lagrange.thresholds[k]))
+        return j
 
     def temperature_update(self, pi: np.ndarray) -> tuple[float, float]:
         """Gradient descent on alpha * (H(pi) - H_target), projected to >= 0:
@@ -367,23 +348,20 @@ class PrimalLearner:
         batch = buffer.sample(self.cfg.batch_size)
         _, _, pi2 = self._policy(batch.o2)   # theta is fixed until the actor step
         loss_r = self.critic_update_reward(batch, pi2)
+        # the cost critic is fixed after its step, so one per-action estimate
+        # per constraint serves both the actor and the multiplier step
+        ks = range(self.lagrange.num_constraints)
         if self.cfg.mode == MODE_AVG:
             loss_c = self.critic_update_cost_avg(batch, pi2)
-            loss_a = self.actor_update_avg(batch)
+            estimates = [nn.mlp_forward(self.cost_avg[k], batch.o)[0] for k in ks]
         else:
             loss_c = self.critic_update_cost_quantile(batch, pi2)
-            # the cost critic is fixed from here on, so one tail estimate per
-            # constraint serves both the actor and the multiplier step
-            tails = [self.cvar_estimate(batch.o, k)
-                     for k in range(self.lagrange.num_constraints)]
-            loss_a = self.actor_update_cvar(batch, tails)
+            estimates = [self.cvar_estimate(batch.o, k) for k in ks]
+        loss_a = self.actor_update(batch, estimates)
         # the actor is fixed from here on, so one policy on batch.o serves
         # both the multiplier and the temperature step
         _, _, pi = self._policy(batch.o)
-        if self.cfg.mode == MODE_AVG:
-            self.multiplier_update_avg(batch, pi)
-        else:
-            self.multiplier_update_cvar(pi, tails)
+        self.multiplier_update(pi, estimates)
         alpha, entropy = self.temperature_update(pi)
         self.soft_update_targets()
         self.steps += 1

@@ -176,12 +176,16 @@ class OutputQueue:
     """FIFO output buffer for one outgoing link. Bits of the in-service
     packet occupy the buffer until its transmission completes. An ISL queue
     records its grid direction, a ground link queue its station (the other
-    field is -1). Uplink queues carry dst_node = -1 and resolve the
-    station's access satellite when a transmission starts."""
+    field is -1). Uplink queues carry dst_node = -1.
+
+    The link is resolved once per topology refresh, the first time the
+    queue is used after it, and cached: ``target`` (for an uplink, the
+    station's access satellite, None while it has none), the link ``rate``
+    in bits/s and ``prop_ns``. ``refresh`` is the refresh they belong to."""
 
     __slots__ = ("src_node", "dst_node", "direction", "station", "capacity_bits",
                  "waiting", "queued_bits", "pending_tx_ns", "busy_until_ns",
-                 "in_service", "service_meta")
+                 "in_service", "service_meta", "refresh", "target", "rate", "prop_ns")
 
     def __init__(self, src_node: int, dst_node: int, direction: int, station: int,
                  capacity_bits: int):
@@ -190,6 +194,10 @@ class OutputQueue:
         self.direction = direction
         self.station = station
         self.capacity_bits = capacity_bits
+        self.refresh = -1                 # stale until first resolved
+        self.target: Optional[int] = None
+        self.rate = 0.0
+        self.prop_ns = 0
         self.waiting: deque[_QueueEntry] = deque()
         self.queued_bits = 0
         self.pending_tx_ns = 0            # estimated tx time of waiting packets
@@ -281,7 +289,12 @@ class _IntervalAccumulator:
 
 class Simulator:
     """Single-threaded deterministic event loop over one constellation, one
-    set of ground stations and one traffic stream."""
+    set of ground stations and one traffic stream.
+
+    Geometry changes only at a topology refresh, which bumps ``refreshes``.
+    Each output queue resolves its link (target node, rate, propagation
+    delay) once per refresh, on its first use after it, so a hop costs no
+    rate or distance evaluation of its own."""
 
     def __init__(self, constellation: Constellation, stations: list[GroundStation],
                  sim_cfg: SimConfig, traffic_cfg: TrafficConfig, router: Router,
@@ -308,14 +321,16 @@ class Simulator:
         self.events = EventQueue()
         self._trace = hashlib.blake2b(digest_size=16) if trace else None
 
+        self.refreshes = 0
         self._refresh_geometry(0)
 
         self.isl_queues: dict[tuple[int, int], OutputQueue] = {}
+        self._isl_by_action: dict[int, OutputQueue] = {}    # sat * 4 + direction
         self.up_queues: list[OutputQueue] = [
             OutputQueue(self.num_sats + g, -1, -1, g, sim_cfg.link_buffer_bits)
             for g in range(self.num_gs)]
         self.down_queues: dict[tuple[int, int], OutputQueue] = {}
-        self.node_bits = np.zeros(self.num_sats + self.num_gs, dtype=np.int64)
+        self.node_bits = [0] * (self.num_sats + self.num_gs)
 
         # accounting
         self.generated = 0
@@ -351,7 +366,9 @@ class Simulator:
     def _refresh_geometry(self, t_ns: int) -> None:
         """Geometry caches, refreshed every refresh interval: satellite and
         station positions, the (S, 4) ISL lengths by grid direction, the
-        (S, G) ground link lengths and each station's access satellite."""
+        (S, G) ground link lengths and each station's access satellite.
+        Bumping ``refreshes`` makes every queue re-resolve its link."""
+        self.refreshes += 1
         t = to_s(t_ns)
         self.positions = propagate(self.constellation, t)
         diffs = self.positions[self.neighbors] - self.positions[:, None, :]
@@ -361,22 +378,36 @@ class Simulator:
         self.gs_positions, self.gsl_dist, self.access = (
             geo.positions, geo.distances, geo.access)
 
-    def _rate_and_distance(self, q: OutputQueue, dst_node: int) -> tuple[float, float]:
+    def _resolve_link(self, q: OutputQueue) -> None:
+        """Cache the queue's target, rate and propagation delay for the
+        current refresh. The rate goes through the ``linkmodel`` module
+        attributes, so each resolution is one counted rate call."""
         cfg = self.cfg
+        q.refresh = self.refreshes
+        q.target = target = q.dst_node if q.dst_node >= 0 else self.access[q.station]
+        if target is None:
+            return
         if q.station < 0:
             d = float(self.isl_dist[q.src_node, q.direction])
-            return linkmodel.isl_rate(cfg.isl_rate_model, cfg.isl_params, d), d
-        # satellites are numbered before stations: the smaller node is the satellite
-        d = float(self.gsl_dist[min(q.src_node, dst_node), q.station])
-        return linkmodel.gsl_rate(cfg.gsl_rate_model, cfg.gsl_params, d), d
+            q.rate = linkmodel.isl_rate(cfg.isl_rate_model, cfg.isl_params, d)
+        else:
+            # satellites are numbered before stations: the smaller node is the satellite
+            d = float(self.gsl_dist[min(q.src_node, target), q.station])
+            q.rate = linkmodel.gsl_rate(cfg.gsl_rate_model, cfg.gsl_params, d)
+        q.prop_ns = to_ns(d / self.light_speed)
 
     # -- queue mechanics ------------------------------------------------------
     def _isl_queue(self, sat: int, direction: int) -> OutputQueue:
-        nbr = int(self.neighbors[sat, direction])
-        q = self.isl_queues.get((sat, nbr))
+        q = self._isl_by_action.get(sat * 4 + direction)
         if q is None:
-            q = OutputQueue(sat, nbr, direction, -1, self.cfg.link_buffer_bits)
-            self.isl_queues[(sat, nbr)] = q
+            # two directions reach the same neighbour on a two-per-plane
+            # grid; they share one queue
+            nbr = int(self.neighbors[sat, direction])
+            q = self.isl_queues.get((sat, nbr))
+            if q is None:
+                q = OutputQueue(sat, nbr, direction, -1, self.cfg.link_buffer_bits)
+                self.isl_queues[(sat, nbr)] = q
+            self._isl_by_action[sat * 4 + direction] = q
         return q
 
     def _down_queue(self, sat: int, g: int) -> OutputQueue:
@@ -393,17 +424,16 @@ class Simulator:
         bits = packet.size_bits
         if q.queued_bits + bits > q.capacity_bits:
             return False
-        if self.node_bits[q.src_node] + bits > self.cfg.node_buffer_bits:
+        node_bits = self.node_bits
+        if node_bits[q.src_node] + bits > self.cfg.node_buffer_bits:
             return False
-        target = q.dst_node
-        if target < 0:
-            target = self.access[q.src_node - self.num_sats]
-        if target is None:
+        if q.refresh != self.refreshes:
+            self._resolve_link(q)
+        if q.target is None:
             est_tx = 0
             predicted = -1    # stalled uplink: wait is not predictable
         else:
-            rate, _ = self._rate_and_distance(q, target)
-            est_tx = to_ns(bits / rate)
+            est_tx = to_ns(bits / q.rate)
             if q.in_service is not None or q.waiting:
                 predicted = max(q.busy_until_ns - now_ns, 0) + q.pending_tx_ns
             else:
@@ -412,7 +442,7 @@ class Simulator:
         q.waiting.append(entry)
         q.queued_bits += bits
         q.pending_tx_ns += est_tx
-        self.node_bits[q.src_node] += bits
+        node_bits[q.src_node] += bits
         if q.in_service is None:
             self._start_service(q, now_ns)
         return True
@@ -420,22 +450,20 @@ class Simulator:
     def _start_service(self, q: OutputQueue, now_ns: int) -> None:
         if not q.waiting:
             return
-        target = q.dst_node
-        if target < 0:        # uplink: resolve the station's access satellite
-            target = self.access[q.src_node - self.num_sats]
-            if target is None:
-                self.uplink_stalls += 1
-                return
+        if q.refresh != self.refreshes:
+            self._resolve_link(q)
+        target = q.target
+        if target is None:        # uplink whose station has no access satellite
+            self.uplink_stalls += 1
+            return
         entry = q.waiting.popleft()
         q.pending_tx_ns -= entry.est_tx_ns
-        rate, dist = self._rate_and_distance(q, target)
-        tx_ns = to_ns(entry.packet.size_bits / rate)
-        prop_ns = to_ns(dist / self.light_speed)
+        tx_ns = to_ns(entry.packet.size_bits / q.rate)
         actual_wait = now_ns - entry.enqueue_ns
         if entry.predicted_queue_ns >= 0 and actual_wait != entry.predicted_queue_ns:
             self.dq_prediction_mismatches += 1
         q.in_service = entry
-        q.service_meta = (tx_ns, prop_ns, target, actual_wait)
+        q.service_meta = (tx_ns, q.prop_ns, target, actual_wait)
         q.busy_until_ns = now_ns + tx_ns
         self.events.schedule(q.busy_until_ns, TX_COMPLETE, q)
 
@@ -552,8 +580,10 @@ class Simulator:
         check = self.check_invariants
         trace = self._trace
         heap = events.heap
+        pop = heapq.heappop
         while heap and heap[0][0] <= end_ns:
-            now, seq, kind, payload = events.pop()
+            now, seq, kind, payload = pop(heap)    # EventQueue.pop, inlined
+            events.now_ns = now
             if trace is not None:
                 pid = payload[0].id if kind == PACKET_ARRIVAL else -1
                 trace.update(f"{now},{seq},{kind},{pid};".encode())

@@ -50,6 +50,13 @@ def policy(lr, obs):
     return lr._policy(obs)[2]
 
 
+def cost_avg(lr, obs):
+    """The expected-cost critics' per-action estimates on ``obs``, one per
+    constraint, as a PRIMAL-Avg train step passes them to the actor and
+    multiplier steps."""
+    return [nn.mlp_forward(params, obs)[0] for params in lr.cost_avg]
+
+
 # -- replay buffer --------------------------------------------------------------
 
 def test_buffer_ring_overwrites_oldest():
@@ -206,7 +213,8 @@ def test_actor_update_no_preference_zero_gradient():
         v[...] = 0.0
     before = nn.params_copy(lr.actor)
     rng = np.random.default_rng(9)
-    lr.actor_update_avg(random_batch(rng))
+    batch = random_batch(rng)
+    lr.actor_update(batch, cost_avg(lr, batch.o))
     assert nn.params_max_abs_diff(lr.actor, before) == 0.0
 
 
@@ -225,7 +233,7 @@ def test_actor_update_avoids_high_cost_action():
                   obs, np.ones(16), np.ones(16))
     logits0, _ = nn.mlp_forward(lr.actor, obs[:1])
     p0 = nn.softmax(logits0)[0, 0]
-    lr.actor_update_avg(batch)
+    lr.actor_update(batch, cost_avg(lr, batch.o))
     logits1, _ = nn.mlp_forward(lr.actor, obs[:1])
     p1 = nn.softmax(logits1)[0, 0]
     assert p1 < p0
@@ -246,7 +254,7 @@ def test_multiplier_unchanged_at_threshold():
     rng = np.random.default_rng(10)
     lam0 = lr.lagrange.lam[0]
     batch = random_batch(rng)
-    lr.multiplier_update_avg(batch, policy(lr, batch.o))
+    lr.multiplier_update(policy(lr, batch.o), cost_avg(lr, batch.o))
     assert lr.lagrange.lam[0] == pytest.approx(lam0, abs=1e-15)
 
 
@@ -255,7 +263,7 @@ def test_multiplier_increases_when_cost_exceeds_threshold():
     rng = np.random.default_rng(11)
     lam0 = lr.lagrange.lam[0]
     batch = random_batch(rng)
-    lr.multiplier_update_avg(batch, policy(lr, batch.o))
+    lr.multiplier_update(policy(lr, batch.o), cost_avg(lr, batch.o))
     assert lr.lagrange.lam[0] > lam0
 
 
@@ -264,7 +272,7 @@ def test_multiplier_projection_at_zero():
     lr.lagrange.lam[0] = 0.0
     rng = np.random.default_rng(12)
     batch = random_batch(rng)
-    lr.multiplier_update_avg(batch, policy(lr, batch.o))
+    lr.multiplier_update(policy(lr, batch.o), cost_avg(lr, batch.o))
     assert lr.lagrange.lam[0] == 0.0
 
 
@@ -458,6 +466,20 @@ def test_train_step_runs_three_actor_forwards(mode, monkeypatch):
     monkeypatch.setattr(lr, "_policy", lambda obs: calls.append(obs) or forward(obs))
     assert lr.train_step(buf) is not None
     assert len(calls) == 3
+
+
+def test_primal_avg_step_runs_nine_batch_forwards(monkeypatch):
+    # one cost_avg forward per constraint serves both the actor and the
+    # multiplier step (10 when the multiplier step ran its own)
+    lr = PrimalLearner(ARCH, small_cfg(mode="avg"), seed=14)
+    buf = ReplayBuffer(500, 5, seed=2)
+    fill_buffer(buf, np.random.default_rng(20), n=64)
+    calls = []
+    forward = nn.mlp_forward
+    monkeypatch.setattr(nn, "mlp_forward",
+                        lambda params, x: calls.append(x) or forward(params, x))
+    assert lr.train_step(buf) is not None
+    assert len(calls) == 9
 
 
 def test_train_step_multipliers_stay_nonnegative():

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import leoroute.netsim as ns
+from leoroute import linkmodel
 from leoroute.constellation import (
     GroundStation,
     WalkerConfig,
@@ -12,13 +15,16 @@ from leoroute.constellation import (
 )
 from leoroute.errors import ConfigurationError, SimulationError
 from leoroute.netsim import (
+    DROP_NO_ROUTE,
     EventQueue,
     Packet,
+    Router,
     SimConfig,
     Simulator,
     TrafficConfig,
     generate_traffic,
     to_ns,
+    to_s,
 )
 from leoroute.routing import RandomRouter
 from leoroute.scenario import desk_scenario, paper_scale_scenario
@@ -228,6 +234,84 @@ def test_queue_wait_prediction_exact_under_fixed_rates():
         if kind == ns.TX_COMPLETE:
             sim._handle_tx_complete(q, time_ns)
     assert sim.dq_prediction_mismatches == 0
+
+
+# -- link resolution across topology refreshes ------------------------------------
+
+PHYSICAL = linkmodel.RateModel("physical")
+
+
+class _NoRoute(Router):
+    def choose(self, packet, sat, now_ns):
+        return -1
+
+
+def test_isl_wait_across_refresh_uses_new_geometry():
+    """Five packets queue on a cross-plane ISL just before a refresh that
+    falls inside the second transmission. The three that start service
+    after it are sent at the rate and over the length of the new geometry;
+    their waits were predicted from the old rate, so the two whose wait
+    includes a new-rate transmission count as mismatches."""
+    cfg = SimConfig(refresh_interval_s=10.0, isl_rate_model=PHYSICAL)
+    sim = make_sim(rate=0.0, epoch=20.0, sim_cfg=cfg, router=_NoRoute())
+    sat, west, bits = 0, 2, 3_000_000
+
+    def link_ns():
+        d = float(sim.isl_dist[sat, west])
+        rate = linkmodel.isl_rate(cfg.isl_rate_model, cfg.isl_params, d)
+        return to_ns(bits / rate), to_ns(d / sim.light_speed)
+
+    tx_old, prop_old = link_ns()
+    refresh_ns = to_ns(cfg.refresh_interval_s)
+    t0 = refresh_ns - tx_old * 3 // 2
+    sim.run(until_s=to_s(t0))
+    assert sim.now_ns == t0
+    q = sim._isl_queue(sat, west)
+    pkts = [_manual_packet(i, size=bits) for i in range(5)]
+    assert all(sim._try_enqueue(q, p, t0) for p in pkts)
+    assert [e.est_tx_ns for e in q.waiting] == [tx_old] * 4
+
+    sim.run(until_s=15.0)
+    tx_new, prop_new = link_ns()
+    assert tx_new != tx_old and prop_new != prop_old
+    assert [p.drop_cause for p in pkts] == [DROP_NO_ROUTE] * 5    # one hop each
+    assert [(p.cum_tx_ns, p.cum_prop_ns) for p in pkts] == (
+        [(tx_old, prop_old)] * 2 + [(tx_new, prop_new)] * 3)
+    assert [p.cum_queue_ns for p in pkts] == [
+        0, tx_old, 2 * tx_old, 2 * tx_old + tx_new, 2 * tx_old + 2 * tx_new]
+    assert sim.dq_prediction_mismatches == 2
+
+
+def test_uplink_stall_resumes_on_new_access_satellite():
+    """At a 30-degree minimum elevation Luxembourg's access goes satellite
+    73 -> none -> satellite 80 on 25 s refreshes. An uplink used under 73
+    stalls while the station has no access, once at enqueue and once per
+    refresh that finds none, and resumes on 80 at the refresh that finds
+    it, with that link's rate and length."""
+    stations = [replace(CITIES[0], min_elevation_deg=30.0), CITIES[1]]
+    cfg = SimConfig(refresh_interval_s=25.0, gsl_rate_model=PHYSICAL,
+                    isl_rate_model=PHYSICAL)
+    sim = Simulator(build_walker(WalkerConfig(12, 8, 600e3, 53.0, 1)), stations,
+                    cfg, TrafficConfig(0.0), _NoRoute(), epoch_s=600.0)
+    q = sim.up_queues[0]
+    sim.run(until_s=150.0)
+    assert sim.access[0] == 73
+    assert sim._try_enqueue(q, _manual_packet(0), sim.now_ns)
+    assert q.service_meta[2] == 73
+    sim.run(until_s=375.0)
+    assert sim.access[0] is None and q.in_service is None
+    assert sim._try_enqueue(q, _manual_packet(1), sim.now_ns)
+    assert sim.uplink_stalls == 1 and q.in_service is None
+    sim.run(until_s=475.0)                   # 400, 425, 450, 475: still none
+    assert sim.access[0] is None
+    assert sim.uplink_stalls == 5 and q.in_service is None
+    sim.run(until_s=500.0)
+    assert sim.access[0] == 80 and q.in_service is not None
+    d = float(sim.gsl_dist[80, 0])
+    rate = linkmodel.gsl_rate(cfg.gsl_rate_model, cfg.gsl_params, d)
+    assert q.service_meta == (to_ns(64_800 / rate), to_ns(d / sim.light_speed),
+                              80, to_ns(125.0))
+    assert sim.uplink_stalls == 5 and sim.dq_prediction_mismatches == 0
 
 
 # -- epoch runs ---------------------------------------------------------------
